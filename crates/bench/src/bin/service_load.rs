@@ -51,10 +51,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ace_core::json::Json;
 use ace_core::{CircuitExtractor, ExtractOptions, IncrementalExtractor, NullProbe};
 use ace_layout::{FlatLayout, LayoutDiff, Library};
 use ace_lint::{lint_extraction, LintConfig};
-use ace_service::json::Json;
 use ace_service::{Client, ClientError, Daemon, ErrorCode, ServiceConfig};
 use ace_wirelist::{write_wirelist, WirelistOptions};
 use ace_workloads::mesh::{mesh_cif, MESH_LINE, MESH_PITCH};

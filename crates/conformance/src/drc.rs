@@ -26,111 +26,8 @@ use ace_geom::{Coord, Layer, Rect};
 use ace_layout::{band_cuts, FlatLayout, Library};
 
 use crate::backends::BackendId;
+use crate::grid::Grid;
 use crate::harness::{check_agreement, diverges, Divergence};
-
-/// A coordinate-compressed grid with one coverage plane per input
-/// rectangle set, plus the prefix machinery the block tests need.
-struct Grid {
-    xs: Vec<Coord>,
-    ys: Vec<Coord>,
-    /// `planes[set][i * rows + j]`
-    planes: Vec<Vec<bool>>,
-}
-
-impl Grid {
-    /// Grid lines come from every rect corner in every set, plus the
-    /// explicitly provided extra lines (anchor offsets for erosion).
-    fn new(sets: &[&[Rect]], extra_xs: &[Coord], extra_ys: &[Coord]) -> Grid {
-        let mut xs: Vec<Coord> = extra_xs.to_vec();
-        let mut ys: Vec<Coord> = extra_ys.to_vec();
-        for set in sets {
-            for r in set.iter() {
-                xs.extend([r.x_min, r.x_max]);
-                ys.extend([r.y_min, r.y_max]);
-            }
-        }
-        xs.sort_unstable();
-        xs.dedup();
-        ys.sort_unstable();
-        ys.dedup();
-        let cols = xs.len().saturating_sub(1);
-        let rows = ys.len().saturating_sub(1);
-        let mut planes = vec![vec![false; cols * rows]; sets.len()];
-        for (plane, set) in planes.iter_mut().zip(sets) {
-            for r in set.iter() {
-                let i0 = xs.partition_point(|&x| x < r.x_min);
-                let i1 = xs.partition_point(|&x| x < r.x_max);
-                let j0 = ys.partition_point(|&y| y < r.y_min);
-                let j1 = ys.partition_point(|&y| y < r.y_max);
-                for i in i0..i1 {
-                    for j in j0..j1 {
-                        plane[i * rows + j] = true;
-                    }
-                }
-            }
-        }
-        Grid { xs, ys, planes }
-    }
-
-    fn cols(&self) -> usize {
-        self.xs.len().saturating_sub(1)
-    }
-
-    fn rows(&self) -> usize {
-        self.ys.len().saturating_sub(1)
-    }
-
-    fn covered(&self, set: usize, i: usize, j: usize) -> bool {
-        self.planes[set][i * self.rows() + j]
-    }
-
-    fn cell_rect(&self, i: usize, j: usize) -> Rect {
-        Rect::new(self.xs[i], self.ys[j], self.xs[i + 1], self.ys[j + 1])
-    }
-
-    /// Connected components of the cells where `keep` holds, by BFS
-    /// over edge-sharing grid neighbors (adjacent compressed cells
-    /// always share an edge of positive length; corner contact never
-    /// connects). Each component is its list of cell rects, returned
-    /// in first-cell scan order.
-    fn components(&self, keep: impl Fn(usize, usize) -> bool) -> Vec<Vec<Rect>> {
-        let (cols, rows) = (self.cols(), self.rows());
-        let mut seen = vec![false; cols * rows];
-        let mut comps = Vec::new();
-        for start in 0..cols * rows {
-            let (si, sj) = (start / rows, start % rows);
-            if seen[start] || !keep(si, sj) {
-                continue;
-            }
-            let mut queue = vec![(si, sj)];
-            seen[start] = true;
-            let mut cells = Vec::new();
-            while let Some((i, j)) = queue.pop() {
-                cells.push(self.cell_rect(i, j));
-                let mut push = |ni: usize, nj: usize| {
-                    if !seen[ni * rows + nj] && keep(ni, nj) {
-                        seen[ni * rows + nj] = true;
-                        queue.push((ni, nj));
-                    }
-                };
-                if i > 0 {
-                    push(i - 1, j);
-                }
-                if i + 1 < cols {
-                    push(i + 1, j);
-                }
-                if j > 0 {
-                    push(i, j - 1);
-                }
-                if j + 1 < rows {
-                    push(i, j + 1);
-                }
-            }
-            comps.push(cells);
-        }
-        comps
-    }
-}
 
 fn bbox(cells: &[Rect]) -> Rect {
     cells.iter().skip(1).fold(cells[0], |a, r| {
@@ -146,15 +43,7 @@ fn bbox(cells: &[Rect]) -> Rect {
 /// Area of `(∪ a) \ (∪ b)` by compressed-grid coloring.
 fn difference_area(a: &[Rect], b: &[Rect]) -> i64 {
     let grid = Grid::new(&[a, b], &[], &[]);
-    let mut area = 0i64;
-    for i in 0..grid.cols() {
-        for j in 0..grid.rows() {
-            if grid.covered(0, i, j) && !grid.covered(1, i, j) {
-                area += grid.cell_rect(i, j).area();
-            }
-        }
-    }
-    area
+    grid.area(|i, j| grid.covered(0, i, j) && !grid.covered(1, i, j))
 }
 
 fn chebyshev_gap(a: &Rect, b: &Rect) -> Coord {
@@ -195,29 +84,20 @@ fn brute_opened(rects: &[Rect], w: Coord) -> Vec<Rect> {
         }
         let i1 = grid.xs.partition_point(|&gx| gx < x1);
         let j1 = grid.ys.partition_point(|&gy| gy < y1);
-        for i in ai..i1 {
-            for j in aj..j1 {
-                if !grid.covered(0, i, j) {
-                    return false;
-                }
-            }
-        }
-        true
+        (ai..i1).all(|i| (aj..j1).all(|j| grid.covered(0, i, j)))
     };
-    let mut opened = Vec::new();
-    for i in 0..grid.cols() {
-        for j in 0..grid.rows() {
-            if block_feasible(i, j) {
-                opened.push(Rect::new(
-                    grid.xs[i],
-                    grid.ys[j],
-                    grid.xs[i + 1] + w - 1,
-                    grid.ys[j + 1] + w - 1,
-                ));
-            }
-        }
-    }
-    opened
+    grid.cells()
+        .filter(|&(i, j)| block_feasible(i, j))
+        .map(|(i, j)| {
+            let cell = grid.cell_rect(i, j);
+            Rect::new(
+                cell.x_min,
+                cell.y_min,
+                cell.x_max + w - 1,
+                cell.y_max + w - 1,
+            )
+        })
+        .collect()
 }
 
 fn oracle_width(rects: &[Rect], layer: Layer, min: Coord, out: &mut Vec<Violation>) {

@@ -34,6 +34,9 @@
 //!   checker must match a brute-force compressed-grid oracle and
 //!   stay invariant under re-fracturing (reversed feed order, band
 //!   splits at the sweep cut lines).
+//! * `grid` — the one coordinate-compressed grid both brute-force
+//!   oracles ([`parasitics`], [`drc`]) color; it shares no code with
+//!   the interval machinery of the checkers they judge.
 //! * [`shrink`] — oracle-driven delta debugging of divergent
 //!   layouts: drop boxes, shrink extents, flatten symbols,
 //!   re-λ-align, normalize.
@@ -65,6 +68,7 @@
 pub mod backends;
 pub mod corpus;
 pub mod drc;
+mod grid;
 pub mod harness;
 pub mod incremental;
 pub mod lints;

@@ -26,6 +26,7 @@ use ace_wirelist::parasitics::conducting_slot;
 use ace_wirelist::{NetParasitics, Netlist};
 
 use crate::backends::BackendId;
+use crate::grid::Grid;
 use crate::harness::{diverges, extract_pruned, Divergence};
 
 /// One net's backend-stable identity plus its parasitic totals.
@@ -75,35 +76,23 @@ fn parasitic_diff(expect: &[ParasiticEntry], got: &[ParasiticEntry]) -> String {
 }
 
 /// Union area and perimeter of a rectangle set, by coordinate
-/// compression: every rect corner coordinate becomes a grid line, a
-/// cell is covered iff any rect contains it, area sums covered cells,
-/// and perimeter sums cell edges whose neighbor (or the outside) is
-/// uncovered.
+/// compression: a cell is covered iff any rect contains it, area sums
+/// covered cells, and perimeter sums covered cells' edges minus every
+/// edge two covered cells share (counted once from each side).
 pub fn union_metrics(rects: &[Rect]) -> (i64, i64) {
-    let grid = CompressedGrid::new(&[rects]);
-    let covered = |i: isize, j: isize| grid.covered(0, i, j);
+    let grid = Grid::new(&[rects], &[], &[]);
     let mut area = 0i64;
     let mut perim = 0i64;
-    for i in 0..grid.xs.len() as isize - 1 {
-        for j in 0..grid.ys.len() as isize - 1 {
-            if !covered(i, j) {
-                continue;
-            }
-            let w = grid.xs[i as usize + 1] - grid.xs[i as usize];
-            let h = grid.ys[j as usize + 1] - grid.ys[j as usize];
-            area += w * h;
-            if !covered(i - 1, j) {
-                perim += h;
-            }
-            if !covered(i + 1, j) {
-                perim += h;
-            }
-            if !covered(i, j - 1) {
-                perim += w;
-            }
-            if !covered(i, j + 1) {
-                perim += w;
-            }
+    for (i, j) in grid.cells().filter(|&(i, j)| grid.covered(0, i, j)) {
+        let cell = grid.cell_rect(i, j);
+        let (w, h) = (cell.width(), cell.height());
+        area += w * h;
+        perim += 2 * (w + h);
+        if grid.covered(0, i + 1, j) {
+            perim -= 2 * h;
+        }
+        if grid.covered(0, i, j + 1) {
+            perim -= 2 * w;
         }
     }
     (area, perim)
@@ -111,72 +100,8 @@ pub fn union_metrics(rects: &[Rect]) -> (i64, i64) {
 
 /// Area of `(∪ a) ∩ (∪ b)` by the same compressed-grid coloring.
 pub fn intersection_area(a: &[Rect], b: &[Rect]) -> i64 {
-    let grid = CompressedGrid::new(&[a, b]);
-    let mut area = 0i64;
-    for i in 0..grid.xs.len() as isize - 1 {
-        for j in 0..grid.ys.len() as isize - 1 {
-            if grid.covered(0, i, j) && grid.covered(1, i, j) {
-                let w = grid.xs[i as usize + 1] - grid.xs[i as usize];
-                let h = grid.ys[j as usize + 1] - grid.ys[j as usize];
-                area += w * h;
-            }
-        }
-    }
-    area
-}
-
-/// A coordinate-compressed grid with one coverage plane per input
-/// rectangle set.
-struct CompressedGrid {
-    xs: Vec<i64>,
-    ys: Vec<i64>,
-    /// `planes[set][i * (ys.len()-1) + j]`
-    planes: Vec<Vec<bool>>,
-}
-
-impl CompressedGrid {
-    fn new(sets: &[&[Rect]]) -> Self {
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        for set in sets {
-            for r in set.iter() {
-                xs.push(r.x_min);
-                xs.push(r.x_max);
-                ys.push(r.y_min);
-                ys.push(r.y_max);
-            }
-        }
-        xs.sort_unstable();
-        xs.dedup();
-        ys.sort_unstable();
-        ys.dedup();
-        let cols = xs.len().saturating_sub(1);
-        let rows = ys.len().saturating_sub(1);
-        let mut planes = vec![vec![false; cols * rows]; sets.len()];
-        for (plane, set) in planes.iter_mut().zip(sets) {
-            for r in set.iter() {
-                let i0 = xs.partition_point(|&x| x < r.x_min);
-                let i1 = xs.partition_point(|&x| x < r.x_max);
-                let j0 = ys.partition_point(|&y| y < r.y_min);
-                let j1 = ys.partition_point(|&y| y < r.y_max);
-                for i in i0..i1 {
-                    for j in j0..j1 {
-                        plane[i * rows + j] = true;
-                    }
-                }
-            }
-        }
-        CompressedGrid { xs, ys, planes }
-    }
-
-    fn covered(&self, set: usize, i: isize, j: isize) -> bool {
-        let rows = self.ys.len() as isize - 1;
-        let cols = self.xs.len() as isize - 1;
-        if i < 0 || j < 0 || i >= cols || j >= rows {
-            return false;
-        }
-        self.planes[set][(i * rows + j) as usize]
-    }
+    let grid = Grid::new(&[a, b], &[], &[]);
+    grid.area(|i, j| grid.covered(0, i, j) && grid.covered(1, i, j))
 }
 
 /// Recomputes one net's parasitics from its recorded geometry (and

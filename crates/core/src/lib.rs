@@ -58,6 +58,7 @@ mod backend;
 mod devices;
 mod extract;
 mod incremental;
+pub mod json;
 mod nets;
 mod parallel;
 pub mod probe;

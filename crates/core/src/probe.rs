@@ -38,6 +38,7 @@ use std::time::{Duration, Instant};
 
 pub use ace_layout::probe::{Counter, Lane, NullProbe, Probe, Span};
 
+use crate::json::Json;
 use crate::report::{BandReport, ExtractionReport, Phase, StitchStats};
 
 #[derive(Default)]
@@ -339,27 +340,30 @@ impl ChromeTraceProbe {
         let mut tids: Vec<u32> = events.iter().map(|e| e.tid).collect();
         tids.sort_unstable();
         tids.dedup();
-        let mut out = String::from("{\"traceEvents\":[\n");
-        out.push_str(
-            "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\
-             \"args\":{\"name\":\"ace\"}}",
+        let metadata = |tid: Option<u32>, name: &str, value: String| {
+            let mut pairs = vec![("ph", Json::str("M")), ("pid", Json::Int(1))];
+            pairs.extend(tid.map(|tid| ("tid", Json::Int(tid.into()))));
+            pairs.push(("name", Json::str(name)));
+            pairs.push(("args", Json::obj([("name", Json::str(value))])));
+            Json::obj(pairs)
+        };
+        let mut trace = vec![metadata(None, "process_name", "ace".into())];
+        trace.extend(
+            tids.iter()
+                .map(|&tid| metadata(Some(tid), "thread_name", Lane(tid).to_string())),
         );
-        for tid in &tids {
-            out.push_str(&format!(
-                ",\n{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-                 \"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                Lane(*tid)
-            ));
-        }
-        for e in events.iter() {
-            out.push_str(&format!(
-                ",\n{{\"ph\":\"{}\",\"pid\":1,\"tid\":{},\"ts\":{},\
-                 \"cat\":\"ace\",\"name\":\"{}\"}}",
-                e.phase, e.tid, e.ts_us, e.name
-            ));
-        }
-        out.push_str("\n]}\n");
+        trace.extend(events.iter().map(|e| {
+            Json::obj([
+                ("ph", Json::str(e.phase)),
+                ("pid", Json::Int(1)),
+                ("tid", Json::Int(e.tid.into())),
+                ("ts", Json::Int(e.ts_us as i64)),
+                ("cat", Json::str("ace")),
+                ("name", Json::str(e.name)),
+            ])
+        }));
+        let mut out = Json::obj([("traceEvents", Json::Arr(trace))]).to_text();
+        out.push('\n');
         out
     }
 }

@@ -4,7 +4,8 @@
 //!
 //! * one section per `conformance/corpus/*.cif` replay layout, keyed
 //!   by file stem — the same sections `scripts/check.sh` verifies
-//!   through `acedrc --snapshot`;
+//!   through `acedrc --snapshot` (each file's SARIF rendering must also
+//!   pass `validate_sarif`);
 //! * one `violation:<rule>` section per `ace_workloads::violations`
 //!   layout, pinning what the NMOS deck reports for each story (the
 //!   geometric layouts trip exactly their own rule; the electrical
@@ -23,7 +24,7 @@ use std::path::{Path, PathBuf};
 use ace_drc::{check, RuleDeck};
 use ace_layout::{FlatLayout, Library};
 use ace_lint::emit::{check_snapshot, merge_snapshot, parse_snapshot};
-use ace_lint::{Diagnostic, LintConfig, RuleId};
+use ace_lint::{sarif_report, validate_sarif, Diagnostic, LintConfig, RuleId, SarifCase};
 use ace_workloads::violations;
 
 fn corpus_dir() -> PathBuf {
@@ -56,7 +57,18 @@ fn compute_sections() -> Vec<(String, Vec<Diagnostic>)> {
     for path in files {
         let stem = path.file_stem().unwrap().to_string_lossy().into_owned();
         let src = std::fs::read_to_string(&path).unwrap();
-        sections.push((stem, drc_cif(&src)));
+        let diagnostics = drc_cif(&src);
+        // The SARIF the CLI prints for this file must parse and pass
+        // the structural validator.
+        let sarif = sarif_report(&[SarifCase {
+            uri: &path.to_string_lossy(),
+            source: Some(&src),
+            diagnostics: &diagnostics,
+        }]);
+        if let Err(e) = validate_sarif(&sarif) {
+            panic!("{stem}: emitted SARIF is invalid: {e}");
+        }
+        sections.push((stem, diagnostics));
     }
     for (rule, cif) in violations::all() {
         sections.push((format!("violation:{rule}"), drc_cif(&cif)));

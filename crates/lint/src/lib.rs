@@ -26,7 +26,8 @@
 //!
 //! Output formats: single-line text (also the golden-snapshot
 //! format, [`render_text`]) and SARIF 2.1.0 ([`to_sarif`]), checked
-//! by a built-in structural validator ([`validate_sarif`]).
+//! by a structural validator ([`validate_sarif`]) built on
+//! [`ace_core::json`].
 //!
 //! The `acelint` binary fronts all of it:
 //!

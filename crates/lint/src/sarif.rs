@@ -1,12 +1,15 @@
 //! SARIF 2.1.0 output and a structural validator for it.
 //!
-//! The emitter is hand-rolled (the workspace is offline; no serde).
-//! To keep it honest, [`validate_sarif`] re-parses emitted JSON with
-//! a small built-in parser and checks the shape the SARIF 2.1.0
-//! schema requires of a minimal static-analysis log: `version`,
-//! `$schema`, one run with a named driver and a rule table, and
-//! results whose `ruleId`/`level`/`message`/`locations` are
-//! well-formed. CI runs the validator over real `acelint` output.
+//! The emitter lays its document out by hand (the workspace is
+//! offline; no serde) and escapes strings with the workspace's one
+//! JSON module, [`ace_core::json`]. To keep it honest,
+//! [`validate_sarif`] re-parses emitted JSON with that module and
+//! checks the shape the SARIF 2.1.0 schema requires of a minimal
+//! static-analysis log: `version`, `$schema`, one run with a named
+//! driver and a rule table, and results whose
+//! `ruleId`/`level`/`message`/`locations` are well-formed. The corpus
+//! golden tests run the validator over real `acelint` and `acedrc`
+//! output.
 //!
 //! Region mapping: a CIF layout has no meaningful "column", so a
 //! result's `region` carries only `startLine` — the line of the `94`
@@ -15,6 +18,8 @@
 //! Spans without a net name (device locations, contact boxes) carry
 //! their chip coordinates in the result's `properties.anchor` bag
 //! instead.
+
+use ace_core::json::{quote, Json};
 
 use crate::diag::{Diagnostic, LintSpan, RuleId};
 
@@ -38,14 +43,14 @@ pub const SARIF_SCHEMA: &str = "https://json.schemastore.org/sarif-2.1.0.json";
 pub fn sarif_report(cases: &[SarifCase]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str(&format!("  \"$schema\": {},\n", json_str(SARIF_SCHEMA)));
+    out.push_str(&format!("  \"$schema\": {},\n", quote(SARIF_SCHEMA)));
     out.push_str("  \"version\": \"2.1.0\",\n");
     out.push_str("  \"runs\": [\n    {\n");
     out.push_str("      \"tool\": {\n        \"driver\": {\n");
     out.push_str("          \"name\": \"acelint\",\n");
     out.push_str(&format!(
         "          \"version\": {},\n",
-        json_str(env!("CARGO_PKG_VERSION"))
+        quote(env!("CARGO_PKG_VERSION"))
     ));
     out.push_str("          \"informationUri\": \"https://example.invalid/ace\",\n");
     out.push_str("          \"rules\": [\n");
@@ -53,9 +58,9 @@ pub fn sarif_report(cases: &[SarifCase]) -> String {
         out.push_str(&format!(
             "            {{\"id\": {}, \"shortDescription\": {{\"text\": {}}}, \
              \"defaultConfiguration\": {{\"level\": {}}}}}{}\n",
-            json_str(rule.name()),
-            json_str(rule.short_description()),
-            json_str(rule.default_severity().name()),
+            quote(rule.name()),
+            quote(rule.short_description()),
+            quote(rule.default_severity().name()),
             if i + 1 < RuleId::ALL.len() { "," } else { "" }
         ));
     }
@@ -78,13 +83,13 @@ fn render_result(case: &SarifCase, diag: &Diagnostic, comma: bool) -> String {
     out.push_str("        {\n");
     out.push_str(&format!(
         "          \"ruleId\": {},\n          \"ruleIndex\": {},\n          \"level\": {},\n",
-        json_str(diag.rule.name()),
+        quote(diag.rule.name()),
         diag.rule.index(),
-        json_str(diag.severity.name())
+        quote(diag.severity.name())
     ));
     out.push_str(&format!(
         "          \"message\": {{\"text\": {}}},\n",
-        json_str(&diag.message)
+        quote(&diag.message)
     ));
     out.push_str(&format!(
         "          \"locations\": [{}],\n",
@@ -103,7 +108,7 @@ fn render_result(case: &SarifCase, diag: &Diagnostic, comma: bool) -> String {
     }
     out.push_str(&format!(
         "          \"properties\": {{\"anchor\": {}}}\n",
-        json_str(&diag.primary.anchor.to_string())
+        quote(&diag.primary.anchor.to_string())
     ));
     out.push_str(if comma { "        },\n" } else { "        }\n" });
     out
@@ -117,13 +122,13 @@ fn render_location(case: &SarifCase, span: &LintSpan, with_message: bool) -> Str
         .map(|line| format!(", \"region\": {{\"startLine\": {line}}}"))
         .unwrap_or_default();
     let message = if with_message {
-        format!(", \"message\": {{\"text\": {}}}", json_str(&span.label))
+        format!(", \"message\": {{\"text\": {}}}", quote(&span.label))
     } else {
         String::new()
     };
     format!(
         "{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": {}}}{region}}}{message}}}",
-        json_str(case.uri)
+        quote(case.uri)
     )
 }
 
@@ -136,32 +141,19 @@ pub fn to_sarif(uri: &str, source: Option<&str>, diagnostics: &[Diagnostic]) -> 
     }])
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 // ---------------------------------------------------------------
 // Structural validation
 // ---------------------------------------------------------------
 
 /// Checks that `json` parses and has the shape of a SARIF 2.1.0
 /// static-analysis log. Returns the first problem found.
+///
+/// Parsing uses [`ace_core::json`], which reads integers only: a log
+/// containing a fraction or exponent anywhere is rejected, even where
+/// the SARIF schema would allow one. Neither emitter in this
+/// workspace writes one.
 pub fn validate_sarif(json: &str) -> Result<(), String> {
-    let root = parse_json(json)?;
+    let root = Json::parse(json).map_err(|e| e.to_string())?;
     if root.get("$schema").and_then(Json::as_str).is_none() {
         return Err("missing string $schema".into());
     }
@@ -271,248 +263,12 @@ fn validate_location(loc: &Json) -> Result<(), String> {
         return Err("missing artifactLocation.uri".into());
     }
     if let Some(region) = phys.get("region") {
-        match region.get("startLine").and_then(Json::as_num) {
-            Some(line) if line >= 1.0 && line.fract() == 0.0 => {}
+        match region.get("startLine").and_then(Json::as_int) {
+            Some(line) if line >= 1 => {}
             other => return Err(format!("bad region.startLine {other:?}")),
         }
     }
     Ok(())
-}
-
-// ---------------------------------------------------------------
-// Minimal JSON parser (validation-only; not a public API)
-// ---------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-fn parse_json(src: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: src.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    Ok(value)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or(format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("truncated \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape \\{}", other as char)),
-                    }
-                }
-                Some(_) => {
-                    // Multibyte UTF-8 sequences pass through intact.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8")?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected , or ] at byte {}, found {other:?}",
-                        self.pos
-                    ))
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => {
-                    return Err(format!(
-                        "expected , or }} at byte {}, found {other:?}",
-                        self.pos
-                    ))
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -551,7 +307,7 @@ mod tests {
         // The named span maps to its `94` source line.
         assert!(json.contains("\"startLine\": 2"), "{json}");
         // Escapes survive a round-trip through the parser.
-        let parsed = parse_json(&json).unwrap();
+        let parsed = Json::parse(&json).unwrap();
         let results = parsed.get("runs").unwrap().as_arr().unwrap()[0]
             .get("results")
             .unwrap()
@@ -624,17 +380,9 @@ mod tests {
             "{\"artifactLocation\": {\"uri\": \"u\"}, \"region\": {\"startLine\": 0}}",
         );
         assert!(validate_sarif(&bad_line).unwrap_err().contains("startLine"));
-    }
-
-    #[test]
-    fn json_parser_handles_the_corners() {
-        let parsed =
-            parse_json(r#"{"a": [1, -2.5e2, true, false, null], "b": "\u0041\t"}"#).unwrap();
-        let arr = parsed.get("a").unwrap().as_arr().unwrap();
-        assert_eq!(arr[1].as_num(), Some(-250.0));
-        assert_eq!(parsed.get("b").unwrap().as_str(), Some("A\t"));
-        assert!(parse_json("[1,]").is_err());
-        assert!(parse_json("{\"a\" 1}").is_err());
-        assert!(parse_json("[1] trailing").is_err());
+        let fractional_line = bad_line.replace("\"startLine\": 0", "\"startLine\": 2.0");
+        assert!(validate_sarif(&fractional_line)
+            .unwrap_err()
+            .contains("integers"));
     }
 }

@@ -4,7 +4,8 @@
 //!
 //! * one section per `conformance/corpus/*.cif` replay layout, keyed
 //!   by file stem — the same sections `scripts/check.sh` verifies
-//!   through `acelint --snapshot`;
+//!   through `acelint --snapshot` (each file's SARIF rendering must also
+//!   pass `validate_sarif`);
 //! * one `violation:<rule>` section per `ace_workloads::violations`
 //!   layout, pinning that each layout trips exactly its rule.
 //!
@@ -20,7 +21,7 @@ use std::path::{Path, PathBuf};
 use ace_core::ExtractOptions;
 use ace_layout::{FlatLayout, Library};
 use ace_lint::emit::{check_snapshot, merge_snapshot, parse_snapshot};
-use ace_lint::{lint, Diagnostic, LintConfig, RuleId};
+use ace_lint::{lint, sarif_report, validate_sarif, Diagnostic, LintConfig, RuleId, SarifCase};
 use ace_workloads::violations;
 
 fn corpus_dir() -> PathBuf {
@@ -55,7 +56,18 @@ fn compute_sections() -> Vec<(String, Vec<Diagnostic>)> {
     for path in files {
         let stem = path.file_stem().unwrap().to_string_lossy().into_owned();
         let src = std::fs::read_to_string(&path).unwrap();
-        sections.push((stem, lint_cif(&src)));
+        let diagnostics = lint_cif(&src);
+        // The SARIF the CLI prints for this file must parse and pass
+        // the structural validator.
+        let sarif = sarif_report(&[SarifCase {
+            uri: &path.to_string_lossy(),
+            source: Some(&src),
+            diagnostics: &diagnostics,
+        }]);
+        if let Err(e) = validate_sarif(&sarif) {
+            panic!("{stem}: emitted SARIF is invalid: {e}");
+        }
+        sections.push((stem, diagnostics));
     }
     for (rule, cif) in violations::all() {
         sections.push((format!("violation:{rule}"), lint_cif(&cif)));

@@ -10,15 +10,17 @@
 //!
 //! The layers, bottom up:
 //!
-//! * [`json`] — a deterministic integer-only JSON value (no external
-//!   dependencies exist in this environment, so serialization is
-//!   hand-rolled; ordered object keys give byte-stable encodings).
+//! * [`ace_core::json`] — the workspace's one JSON module: a
+//!   deterministic integer-only value (no external dependencies exist
+//!   in this environment, so serialization is hand-rolled; ordered
+//!   object keys give byte-stable encodings).
 //! * [`frame`] — 4-byte big-endian length prefix around each message.
 //! * [`protocol`] — the serializable request/response surface:
 //!   [`protocol::Request`], [`protocol::Response`], and
 //!   [`protocol::ServiceError`] with stable kebab-case error codes,
-//!   plus wire forms for the in-process `ExtractOptions`,
-//!   `LintConfig`, and `LayoutDiff` types.
+//!   all encoded through one [`protocol::Wire`] trait that also gives
+//!   the in-process `ExtractOptions`, `LintConfig`, and `LayoutDiff`
+//!   types their wire forms.
 //! * [`session`] — named resident sessions (incremental extractor +
 //!   warm cache) with an LRU evictor driven by the CacheBytes gauge.
 //! * [`daemon`] — listeners, per-connection threads, work-stealing
@@ -59,7 +61,6 @@
 pub mod client;
 pub mod daemon;
 pub mod frame;
-pub mod json;
 pub mod protocol;
 pub mod session;
 pub mod signal;

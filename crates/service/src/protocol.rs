@@ -1,7 +1,7 @@
 //! The serializable request/response surface of `aced`.
 //!
 //! Everything a client can ask and everything the daemon can answer
-//! lives here as plain data with hand-written [`Json`] conversions.
+//! lives here as plain data, encoded through one trait, [`Wire`].
 //! The in-process types these mirror ([`ExtractOptions`],
 //! [`LintConfig`], [`LayoutDiff`]) stay the single source of truth —
 //! this module only defines the *wire* shape: stable field names,
@@ -27,12 +27,11 @@
 
 use std::fmt;
 
+use ace_core::json::Json;
 use ace_core::{ExtractOptions, SortStrategy};
 use ace_geom::{Layer, Point, Rect};
-use ace_layout::{FlatLabel, LayoutDiff};
+use ace_layout::{FlatLabel, LayerBox, LayoutDiff};
 use ace_lint::{Anchor, Diagnostic, LintConfig, LintSpan, RuleId, Severity};
-
-use crate::json::Json;
 
 /// Wire protocol version; bumped on any incompatible change.
 pub const PROTOCOL_VERSION: i64 = 1;
@@ -308,6 +307,25 @@ pub struct WireReport {
     pub total_ns: i64,
 }
 
+impl WireReport {
+    /// Flattens the wire-relevant fields of an in-process report.
+    pub fn from_report(r: &ace_core::ExtractionReport) -> WireReport {
+        WireReport {
+            boxes: r.boxes as i64,
+            scanline_stops: r.scanline_stops as i64,
+            net_unions: r.net_unions as i64,
+            bands_reused: r.bands_reused as i64,
+            bands_reswept: r.bands_reswept as i64,
+            cache_bytes: r.cache_bytes as i64,
+            lints_emitted: r.lints_emitted as i64,
+            drc_violations: r.drc_violations as i64,
+            drc_time_ns: r.drc_time.as_nanos().min(i64::MAX as u128) as i64,
+            coalesced_edits: r.coalesced_edits as i64,
+            total_ns: r.total_time.as_nanos().min(i64::MAX as u128) as i64,
+        }
+    }
+}
+
 /// A successful `extract` / `edit-diff` answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExtractResult {
@@ -450,954 +468,582 @@ pub enum Response {
 }
 
 // ---------------------------------------------------------------------------
-// Json conversions: geometry and layout vocabulary
+// The wire codec
 // ---------------------------------------------------------------------------
 
-fn rect_to_json(r: Rect) -> Json {
-    Json::Arr(vec![
-        Json::Int(r.x_min),
-        Json::Int(r.y_min),
-        Json::Int(r.x_max),
-        Json::Int(r.y_max),
-    ])
+/// A type with a stable wire form: a [`Json`] value that encodes it
+/// and decodes back to an equal value.
+///
+/// Every message and every type a message carries implements it, so
+/// one generic round-trip test covers the whole protocol.
+///
+/// ```
+/// use ace_core::ExtractOptions;
+/// use ace_service::protocol::Wire;
+///
+/// let options = ExtractOptions::new().with_geometry();
+/// assert_eq!(ExtractOptions::from_json(&options.to_json()), Ok(options));
+/// ```
+pub trait Wire: Sized {
+    /// The wire value.
+    fn to_json(&self) -> Json;
+
+    /// Decodes a wire value.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtoError`] naming the first malformed part.
+    fn from_json(v: &Json) -> Result<Self, ProtoError>;
 }
 
-fn rect_from_json(v: &Json) -> Result<Rect, ProtoError> {
-    let items = v
-        .as_arr()
-        .filter(|a| a.len() == 4)
-        .ok_or_else(|| ProtoError::new("rect must be [x_min,y_min,x_max,y_max]"))?;
-    let mut c = [0i64; 4];
-    for (slot, item) in c.iter_mut().zip(items) {
-        *slot = item
-            .as_int()
-            .ok_or_else(|| ProtoError::new("rect coordinates must be integers"))?;
+/// Decodes member `key` of the object `obj`: the one place the
+/// absent/null/wrong-type policy lives. An absent key reads as
+/// `null`, so an optional field is `None` whether absent or null and
+/// a required one is reported missing. A member that is present but
+/// malformed is reported under its key, so errors carry their path
+/// (`'diff': 'boxes_added': [0]: 'rect': …`).
+fn field<T: Wire>(obj: &Json, key: &str) -> Result<T, ProtoError> {
+    let value = obj.get(key);
+    T::from_json(value.unwrap_or(&Json::Null)).map_err(|e| match value {
+        None => ProtoError::new(format!("missing '{key}'")),
+        Some(_) => ProtoError::new(format!("'{key}': {}", e.message)),
+    })
+}
+
+impl Wire for i64 {
+    fn to_json(&self) -> Json {
+        Json::Int(*self)
     }
-    Ok(Rect::new(c[0], c[1], c[2], c[3]))
-}
 
-fn point_to_json(p: Point) -> Json {
-    Json::Arr(vec![Json::Int(p.x), Json::Int(p.y)])
-}
-
-fn point_from_json(v: &Json) -> Result<Point, ProtoError> {
-    let items = v
-        .as_arr()
-        .filter(|a| a.len() == 2)
-        .ok_or_else(|| ProtoError::new("point must be [x,y]"))?;
-    let x = items[0]
-        .as_int()
-        .ok_or_else(|| ProtoError::new("point coordinates must be integers"))?;
-    let y = items[1]
-        .as_int()
-        .ok_or_else(|| ProtoError::new("point coordinates must be integers"))?;
-    Ok(Point::new(x, y))
-}
-
-fn layer_to_json(layer: Layer) -> Json {
-    Json::str(layer.cif_name())
-}
-
-fn layer_from_json(v: &Json) -> Result<Layer, ProtoError> {
-    let name = v
-        .as_str()
-        .ok_or_else(|| ProtoError::new("layer must be a CIF layer name"))?;
-    Layer::from_cif_name(name).ok_or_else(|| ProtoError::new(format!("unknown layer '{name}'")))
-}
-
-fn opt_layer_to_json(layer: Option<Layer>) -> Json {
-    match layer {
-        Some(l) => layer_to_json(l),
-        None => Json::Null,
+    fn from_json(v: &Json) -> Result<i64, ProtoError> {
+        v.as_int()
+            .ok_or_else(|| ProtoError::new("expected an integer"))
     }
 }
 
-fn boxes_to_json(boxes: &[ace_layout::LayerBox]) -> Json {
-    Json::Arr(
-        boxes
+impl Wire for usize {
+    fn to_json(&self) -> Json {
+        Json::Int(*self as i64)
+    }
+
+    fn from_json(v: &Json) -> Result<usize, ProtoError> {
+        v.as_int()
+            .and_then(|n| usize::try_from(n).ok())
+            .ok_or_else(|| ProtoError::new("expected a non-negative integer"))
+    }
+}
+
+impl Wire for bool {
+    fn to_json(&self) -> Json {
+        Json::Bool(*self)
+    }
+
+    fn from_json(v: &Json) -> Result<bool, ProtoError> {
+        v.as_bool()
+            .ok_or_else(|| ProtoError::new("expected a boolean"))
+    }
+}
+
+impl Wire for String {
+    fn to_json(&self) -> Json {
+        Json::str(self)
+    }
+
+    fn from_json(v: &Json) -> Result<String, ProtoError> {
+        v.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| ProtoError::new("expected a string"))
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(T::to_json).collect())
+    }
+
+    fn from_json(v: &Json) -> Result<Vec<T>, ProtoError> {
+        v.as_arr()
+            .ok_or_else(|| ProtoError::new("expected an array"))?
             .iter()
-            .map(|b| {
-                Json::obj([
-                    ("layer", layer_to_json(b.layer)),
-                    ("rect", rect_to_json(b.rect)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn boxes_from_json(v: &Json) -> Result<Vec<(Layer, Rect)>, ProtoError> {
-    v.as_arr()
-        .ok_or_else(|| ProtoError::new("box list must be an array"))?
-        .iter()
-        .map(|b| {
-            let layer = layer_from_json(
-                b.get("layer")
-                    .ok_or_else(|| ProtoError::new("box missing 'layer'"))?,
-            )?;
-            let rect = rect_from_json(
-                b.get("rect")
-                    .ok_or_else(|| ProtoError::new("box missing 'rect'"))?,
-            )?;
-            Ok((layer, rect))
-        })
-        .collect()
-}
-
-fn labels_to_json(labels: &[FlatLabel]) -> Json {
-    Json::Arr(
-        labels
-            .iter()
-            .map(|l| {
-                Json::obj([
-                    ("name", Json::str(&l.name)),
-                    ("at", point_to_json(l.at)),
-                    ("layer", opt_layer_to_json(l.layer)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn labels_from_json(v: &Json) -> Result<Vec<(String, Point, Option<Layer>)>, ProtoError> {
-    v.as_arr()
-        .ok_or_else(|| ProtoError::new("label list must be an array"))?
-        .iter()
-        .map(|l| {
-            let name = l
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| ProtoError::new("label missing 'name'"))?
-                .to_string();
-            let at = point_from_json(
-                l.get("at")
-                    .ok_or_else(|| ProtoError::new("label missing 'at'"))?,
-            )?;
-            let layer = match l.get("layer") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(layer_from_json(v)?),
-            };
-            Ok((name, at, layer))
-        })
-        .collect()
-}
-
-/// Serializes a [`LayoutDiff`] to its wire object.
-pub fn diff_to_json(diff: &LayoutDiff) -> Json {
-    Json::obj([
-        ("boxes_added", boxes_to_json(&diff.boxes_added)),
-        ("boxes_removed", boxes_to_json(&diff.boxes_removed)),
-        ("labels_added", labels_to_json(&diff.labels_added)),
-        ("labels_removed", labels_to_json(&diff.labels_removed)),
-    ])
-}
-
-/// Parses a [`LayoutDiff`] from its wire object.
-///
-/// # Errors
-///
-/// [`ProtoError`] on missing fields or malformed geometry.
-pub fn diff_from_json(v: &Json) -> Result<LayoutDiff, ProtoError> {
-    let field = |key: &str| {
-        v.get(key)
-            .ok_or_else(|| ProtoError::new(format!("diff missing '{key}'")))
-    };
-    let mut diff = LayoutDiff::new();
-    for (layer, rect) in boxes_from_json(field("boxes_added")?)? {
-        diff.add_box(layer, rect);
-    }
-    for (layer, rect) in boxes_from_json(field("boxes_removed")?)? {
-        diff.remove_box(layer, rect);
-    }
-    for (name, at, layer) in labels_from_json(field("labels_added")?)? {
-        diff.add_label(name, at, layer);
-    }
-    for (name, at, layer) in labels_from_json(field("labels_removed")?)? {
-        diff.remove_label(name, at, layer);
-    }
-    Ok(diff)
-}
-
-// ---------------------------------------------------------------------------
-// Json conversions: options and lint config
-// ---------------------------------------------------------------------------
-
-fn opt_usize_to_json(v: Option<usize>) -> Json {
-    match v {
-        Some(n) => Json::Int(n as i64),
-        None => Json::Null,
-    }
-}
-
-fn opt_usize_from_json(v: Option<&Json>, what: &str) -> Result<Option<usize>, ProtoError> {
-    match v {
-        None | Some(Json::Null) => Ok(None),
-        Some(Json::Int(n)) if *n >= 0 => Ok(Some(*n as usize)),
-        Some(_) => Err(ProtoError::new(format!(
-            "'{what}' must be null or a non-negative integer"
-        ))),
-    }
-}
-
-/// Serializes [`ExtractOptions`] to its wire object.
-pub fn options_to_json(options: &ExtractOptions) -> Json {
-    Json::obj([
-        ("geometry", Json::Bool(options.geometry_output)),
-        (
-            "sort",
-            Json::str(match options.sort {
-                SortStrategy::Insertion => "insertion",
-                SortStrategy::Bin => "bin",
-            }),
-        ),
-        (
-            "window",
-            match options.window {
-                Some(r) => rect_to_json(r),
-                None => Json::Null,
-            },
-        ),
-        ("threads", opt_usize_to_json(options.threads)),
-        ("bands", opt_usize_to_json(options.bands)),
-        ("lints", Json::Bool(options.lints)),
-    ])
-}
-
-/// Parses [`ExtractOptions`] from its wire object.
-///
-/// # Errors
-///
-/// [`ProtoError`] on unknown sort spellings or malformed fields.
-pub fn options_from_json(v: &Json) -> Result<ExtractOptions, ProtoError> {
-    let mut options = ExtractOptions::new();
-    options.geometry_output = v
-        .get("geometry")
-        .and_then(Json::as_bool)
-        .ok_or_else(|| ProtoError::new("options missing boolean 'geometry'"))?;
-    options.sort = match v.get("sort").and_then(Json::as_str) {
-        Some("insertion") => SortStrategy::Insertion,
-        Some("bin") => SortStrategy::Bin,
-        Some(other) => return Err(ProtoError::new(format!("unknown sort '{other}'"))),
-        None => return Err(ProtoError::new("options missing 'sort'")),
-    };
-    options.window = match v.get("window") {
-        None | Some(Json::Null) => None,
-        Some(r) => Some(rect_from_json(r)?),
-    };
-    options.threads = opt_usize_from_json(v.get("threads"), "threads")?;
-    options.bands = opt_usize_from_json(v.get("bands"), "bands")?;
-    options.lints = v
-        .get("lints")
-        .and_then(Json::as_bool)
-        .ok_or_else(|| ProtoError::new("options missing boolean 'lints'"))?;
-    Ok(options)
-}
-
-/// Serializes a [`LintConfig`] to its wire object: one entry per rule
-/// (enabled + severity, by stable kebab-case names) plus the supply
-/// name sets and the minimum channel dimension.
-pub fn lint_config_to_json(config: &LintConfig) -> Json {
-    let rules = Json::Arr(
-        RuleId::ALL
-            .into_iter()
-            .map(|rule| {
-                Json::obj([
-                    ("rule", Json::str(rule.name())),
-                    ("enabled", Json::Bool(config.is_enabled(rule))),
-                    ("severity", Json::str(config.severity_of(rule).name())),
-                ])
-            })
-            .collect(),
-    );
-    Json::obj([
-        ("rules", rules),
-        (
-            "vdd",
-            Json::Arr(config.vdd_names.iter().map(Json::str).collect()),
-        ),
-        (
-            "gnd",
-            Json::Arr(config.gnd_names.iter().map(Json::str).collect()),
-        ),
-        ("min_channel_dim", Json::Int(config.min_channel_dim)),
-        (
-            "overload_cap_af_per_drive",
-            Json::Int(config.overload_cap_af_per_drive),
-        ),
-    ])
-}
-
-/// Parses a [`LintConfig`] from its wire object.
-///
-/// [`Severity::Note`] is rejected: the config builder vocabulary
-/// (allow/warn/deny, after clippy) cannot express it, so no conforming
-/// client produces it.
-///
-/// # Errors
-///
-/// [`ProtoError`] on unknown rule/severity spellings or missing
-/// fields.
-pub fn lint_config_from_json(v: &Json) -> Result<LintConfig, ProtoError> {
-    let mut config = LintConfig::new();
-    let rules = v
-        .get("rules")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ProtoError::new("lint config missing 'rules' array"))?;
-    for entry in rules {
-        let name = entry
-            .get("rule")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ProtoError::new("rule entry missing 'rule'"))?;
-        let rule = RuleId::from_name(name)
-            .ok_or_else(|| ProtoError::new(format!("unknown rule '{name}'")))?;
-        let enabled = entry
-            .get("enabled")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| ProtoError::new("rule entry missing boolean 'enabled'"))?;
-        let severity_name = entry
-            .get("severity")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ProtoError::new("rule entry missing 'severity'"))?;
-        let severity = Severity::from_name(severity_name)
-            .ok_or_else(|| ProtoError::new(format!("unknown severity '{severity_name}'")))?;
-        config = match severity {
-            Severity::Warning => config.warn(rule),
-            Severity::Error => config.deny(rule),
-            Severity::Note => {
-                return Err(ProtoError::new(
-                    "severity 'note' is not expressible in a lint config",
-                ))
-            }
-        };
-        if !enabled {
-            config = config.allow(rule);
-        }
-    }
-    let names = |key: &str| -> Result<Vec<String>, ProtoError> {
-        v.get(key)
-            .and_then(Json::as_arr)
-            .ok_or_else(|| ProtoError::new(format!("lint config missing '{key}' array")))?
-            .iter()
-            .map(|n| {
-                n.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| ProtoError::new(format!("'{key}' entries must be strings")))
+            .enumerate()
+            .map(|(i, item)| {
+                T::from_json(item).map_err(|e| ProtoError::new(format!("[{i}]: {}", e.message)))
             })
             .collect()
-    };
-    config = config.with_supply_names(names("vdd")?, names("gnd")?);
-    let dim = v
-        .get("min_channel_dim")
-        .and_then(Json::as_int)
-        .ok_or_else(|| ProtoError::new("lint config missing integer 'min_channel_dim'"))?;
-    let overload = v
-        .get("overload_cap_af_per_drive")
-        .and_then(Json::as_int)
-        .ok_or_else(|| {
-            ProtoError::new("lint config missing integer 'overload_cap_af_per_drive'")
-        })?;
-    Ok(config
-        .with_min_channel_dim(dim)
-        .with_overload_threshold(overload))
-}
-
-// ---------------------------------------------------------------------------
-// Json conversions: requests
-// ---------------------------------------------------------------------------
-
-fn envelope(id: i64, rest: Vec<(String, Json)>) -> Json {
-    let mut pairs = vec![
-        ("v".to_string(), Json::Int(PROTOCOL_VERSION)),
-        ("id".to_string(), Json::Int(id)),
-    ];
-    pairs.extend(rest);
-    Json::Obj(pairs)
-}
-
-fn check_envelope(v: &Json) -> Result<i64, ProtoError> {
-    match v.get("v").and_then(Json::as_int) {
-        Some(PROTOCOL_VERSION) => {}
-        Some(other) => {
-            return Err(ProtoError::new(format!(
-                "protocol version {other} (this build speaks {PROTOCOL_VERSION})"
-            )))
-        }
-        None => return Err(ProtoError::new("missing protocol version 'v'")),
     }
-    v.get("id")
-        .and_then(Json::as_int)
-        .ok_or_else(|| ProtoError::new("missing integer 'id'"))
 }
 
-/// Converts a request to its wire JSON value (see [`encode_request`]
-/// for the byte form).
-pub fn request_to_json(id: i64, request: &Request) -> Json {
-    let mut rest: Vec<(String, Json)> = vec![("op".into(), Json::str(request.op()))];
-    match request {
-        Request::Open {
-            session,
-            cif,
-            bands,
-            options,
-        } => {
-            rest.push(("session".into(), Json::str(session)));
-            rest.push(("cif".into(), Json::str(cif)));
-            rest.push(("bands".into(), Json::Int(*bands as i64)));
-            rest.push(("options".into(), options_to_json(options)));
-        }
-        Request::Extract { session } | Request::Close { session } => {
-            rest.push(("session".into(), Json::str(session)));
-        }
-        Request::EditDiff { session, seq, diff } => {
-            rest.push(("session".into(), Json::str(session)));
-            rest.push((
-                "seq".into(),
-                match seq {
-                    Some(n) => Json::Int(*n),
-                    None => Json::Null,
-                },
-            ));
-            rest.push(("diff".into(), diff_to_json(diff)));
-        }
-        Request::Lint { session, config } => {
-            rest.push(("session".into(), Json::str(session)));
-            rest.push(("config".into(), lint_config_to_json(config)));
-        }
-        Request::Drc {
-            session,
-            deck,
-            config,
-        } => {
-            rest.push(("session".into(), Json::str(session)));
-            rest.push((
-                "deck".into(),
-                match deck {
-                    Some(text) => Json::str(text),
-                    None => Json::Null,
-                },
-            ));
-            rest.push(("config".into(), lint_config_to_json(config)));
-        }
-        Request::QueryNet { session, net } => {
-            rest.push(("session".into(), Json::str(session)));
-            rest.push(("net".into(), Json::str(net)));
-        }
-        Request::Status => {}
+/// `None` is `null` on the wire.
+impl<T: Wire> Wire for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::to_json)
     }
-    envelope(id, rest)
+
+    fn from_json(v: &Json) -> Result<Option<T>, ProtoError> {
+        match v {
+            Json::Null => Ok(None),
+            v => T::from_json(v).map(Some),
+        }
+    }
 }
 
-/// Parses a request from its wire JSON value.
-///
-/// # Errors
-///
-/// [`ProtoError`] on version mismatch, unknown op, or malformed
-/// operands.
-pub fn request_from_json(v: &Json) -> Result<(i64, Request), ProtoError> {
-    let id = check_envelope(v)?;
-    let op = v
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or_else(|| ProtoError::new("missing request 'op'"))?;
-    let session = || {
-        v.get("session")
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| ProtoError::new(format!("'{op}' requires a 'session'")))
+impl Wire for Rect {
+    fn to_json(&self) -> Json {
+        vec![self.x_min, self.y_min, self.x_max, self.y_max].to_json()
+    }
+
+    fn from_json(v: &Json) -> Result<Rect, ProtoError> {
+        match Vec::<i64>::from_json(v).as_deref() {
+            Ok(&[x_min, y_min, x_max, y_max]) => Ok(Rect::new(x_min, y_min, x_max, y_max)),
+            _ => Err(ProtoError::new("rect must be [x_min,y_min,x_max,y_max]")),
+        }
+    }
+}
+
+impl Wire for Point {
+    fn to_json(&self) -> Json {
+        vec![self.x, self.y].to_json()
+    }
+
+    fn from_json(v: &Json) -> Result<Point, ProtoError> {
+        match Vec::<i64>::from_json(v).as_deref() {
+            Ok(&[x, y]) => Ok(Point::new(x, y)),
+            _ => Err(ProtoError::new("point must be [x,y]")),
+        }
+    }
+}
+
+/// `Wire` for a closed vocabulary spelled by stable names: `$name`
+/// renders a value, `$parse` reads a spelling back.
+macro_rules! wire_name {
+    ($ty:ty, $what:literal, $name:expr, $parse:expr) => {
+        impl Wire for $ty {
+            fn to_json(&self) -> Json {
+                Json::str($name(*self))
+            }
+
+            fn from_json(v: &Json) -> Result<$ty, ProtoError> {
+                let name = String::from_json(v)?;
+                $parse(name.as_str())
+                    .ok_or_else(|| ProtoError::new(format!("unknown {} '{name}'", $what)))
+            }
+        }
     };
-    let request = match op {
-        "open" => Request::Open {
-            session: session()?,
-            cif: v
-                .get("cif")
-                .and_then(Json::as_str)
-                .ok_or_else(|| ProtoError::new("'open' requires 'cif' text"))?
-                .to_string(),
-            bands: opt_usize_from_json(v.get("bands"), "bands")?
-                .ok_or_else(|| ProtoError::new("'open' requires integer 'bands'"))?,
-            options: options_from_json(
-                v.get("options")
-                    .ok_or_else(|| ProtoError::new("'open' requires 'options'"))?,
-            )?,
-        },
-        "extract" => Request::Extract {
-            session: session()?,
-        },
-        "edit-diff" => Request::EditDiff {
-            session: session()?,
-            // Absent and null both mean "unsequenced", so pre-seq
-            // clients keep working unchanged.
-            seq: match v.get("seq") {
-                None | Some(Json::Null) => None,
-                Some(Json::Int(n)) => Some(*n),
-                Some(_) => return Err(ProtoError::new("'seq' must be null or integer")),
-            },
-            diff: diff_from_json(
-                v.get("diff")
-                    .ok_or_else(|| ProtoError::new("'edit-diff' requires 'diff'"))?,
-            )?,
-        },
-        "lint" => Request::Lint {
-            session: session()?,
-            config: lint_config_from_json(
-                v.get("config")
-                    .ok_or_else(|| ProtoError::new("'lint' requires 'config'"))?,
-            )?,
-        },
-        "drc" => Request::Drc {
-            session: session()?,
-            deck: match v.get("deck") {
-                None | Some(Json::Null) => None,
-                Some(Json::Str(text)) => Some(text.clone()),
-                Some(_) => return Err(ProtoError::new("'deck' must be null or deck text")),
-            },
-            config: lint_config_from_json(
-                v.get("config")
-                    .ok_or_else(|| ProtoError::new("'drc' requires 'config'"))?,
-            )?,
-        },
-        "query-net" => Request::QueryNet {
-            session: session()?,
-            net: v
-                .get("net")
-                .and_then(Json::as_str)
-                .ok_or_else(|| ProtoError::new("'query-net' requires 'net'"))?
-                .to_string(),
-        },
-        "close" => Request::Close {
-            session: session()?,
-        },
-        "status" => Request::Status,
-        other => return Err(ProtoError::new(format!("unknown op '{other}'"))),
+}
+
+wire_name!(Layer, "layer", Layer::cif_name, Layer::from_cif_name);
+wire_name!(RuleId, "rule", RuleId::name, RuleId::from_name);
+wire_name!(Severity, "severity", Severity::name, Severity::from_name);
+wire_name!(
+    ErrorCode,
+    "error code",
+    ErrorCode::name,
+    ErrorCode::from_name
+);
+wire_name!(
+    SortStrategy,
+    "sort",
+    |sort| match sort {
+        SortStrategy::Insertion => "insertion",
+        SortStrategy::Bin => "bin",
+    },
+    |name| match name {
+        "insertion" => Some(SortStrategy::Insertion),
+        "bin" => Some(SortStrategy::Bin),
+        _ => None,
+    }
+);
+
+/// `Wire` for a struct whose wire form is an object with one member
+/// per listed field, named and ordered as listed.
+macro_rules! wire_struct {
+    ($ty:ident { $($field:ident),* $(,)? }) => {
+        impl Wire for $ty {
+            fn to_json(&self) -> Json {
+                Json::obj([$((stringify!($field), self.$field.to_json())),*])
+            }
+
+            fn from_json(v: &Json) -> Result<$ty, ProtoError> {
+                Ok($ty { $($field: field(v, stringify!($field))?),* })
+            }
+        }
     };
-    Ok((id, request))
+}
+
+wire_struct!(LayerBox { layer, rect });
+wire_struct!(FlatLabel { name, at, layer });
+wire_struct!(LayoutDiff {
+    boxes_added,
+    boxes_removed,
+    labels_added,
+    labels_removed,
+});
+wire_struct!(LintSpan {
+    anchor,
+    label,
+    name
+});
+wire_struct!(WireDiagnostic {
+    rule,
+    severity,
+    message,
+    primary,
+    rendered,
+});
+wire_struct!(WireReport {
+    boxes,
+    scanline_stops,
+    net_unions,
+    bands_reused,
+    bands_reswept,
+    cache_bytes,
+    lints_emitted,
+    drc_violations,
+    drc_time_ns,
+    coalesced_edits,
+    total_ns,
+});
+wire_struct!(ExtractResult { wirelist, report });
+wire_struct!(NetInfo {
+    net,
+    found,
+    names,
+    gates,
+    terminals,
+    cap_af,
+    res_mohm,
+});
+wire_struct!(ServiceStatus {
+    sessions,
+    cache_bytes,
+    evictions,
+    executed,
+    stolen,
+    queued,
+    workers,
+    coalesced_edits,
+});
+wire_struct!(ServiceError {
+    code,
+    message,
+    retry_after_ms
+});
+
+/// `{"at":[x,y]}` or `{"area":[x_min,y_min,x_max,y_max]}`.
+impl Wire for Anchor {
+    fn to_json(&self) -> Json {
+        match self {
+            Anchor::At(p) => Json::obj([("at", p.to_json())]),
+            Anchor::Area(r) => Json::obj([("area", r.to_json())]),
+        }
+    }
+
+    fn from_json(v: &Json) -> Result<Anchor, ProtoError> {
+        if let Some(p) = field(v, "at")? {
+            Ok(Anchor::At(p))
+        } else if let Some(r) = field(v, "area")? {
+            Ok(Anchor::Area(r))
+        } else {
+            Err(ProtoError::new("anchor must have 'at' or 'area'"))
+        }
+    }
+}
+
+impl Wire for ExtractOptions {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("geometry", self.geometry_output.to_json()),
+            ("sort", self.sort.to_json()),
+            ("window", self.window.to_json()),
+            ("threads", self.threads.to_json()),
+            ("bands", self.bands.to_json()),
+            ("lints", self.lints.to_json()),
+        ])
+    }
+
+    fn from_json(v: &Json) -> Result<ExtractOptions, ProtoError> {
+        let mut options = ExtractOptions::new();
+        options.geometry_output = field(v, "geometry")?;
+        options.sort = field(v, "sort")?;
+        options.window = field(v, "window")?;
+        options.threads = field(v, "threads")?;
+        options.bands = field(v, "bands")?;
+        options.lints = field(v, "lints")?;
+        Ok(options)
+    }
+}
+
+/// One rule's entry in a [`LintConfig`]'s wire form.
+struct RuleSetting {
+    rule: RuleId,
+    enabled: bool,
+    severity: Severity,
+}
+
+wire_struct!(RuleSetting {
+    rule,
+    enabled,
+    severity
+});
+
+/// One entry per rule (enabled + severity, by stable kebab-case
+/// names) plus the supply name sets, the minimum channel dimension,
+/// and the overload threshold.
+///
+/// Decoding rejects [`Severity::Note`]: the config builder vocabulary
+/// (allow/warn/deny, after clippy) cannot express it, so no
+/// conforming client produces it.
+impl Wire for LintConfig {
+    fn to_json(&self) -> Json {
+        let rules: Vec<RuleSetting> = RuleId::ALL
+            .into_iter()
+            .map(|rule| RuleSetting {
+                rule,
+                enabled: self.is_enabled(rule),
+                severity: self.severity_of(rule),
+            })
+            .collect();
+        Json::obj([
+            ("rules", rules.to_json()),
+            ("vdd", self.vdd_names.to_json()),
+            ("gnd", self.gnd_names.to_json()),
+            ("min_channel_dim", self.min_channel_dim.to_json()),
+            (
+                "overload_cap_af_per_drive",
+                self.overload_cap_af_per_drive.to_json(),
+            ),
+        ])
+    }
+
+    fn from_json(v: &Json) -> Result<LintConfig, ProtoError> {
+        let mut config = LintConfig::new();
+        for setting in field::<Vec<RuleSetting>>(v, "rules")? {
+            let rule = setting.rule;
+            config = match setting.severity {
+                Severity::Warning => config.warn(rule),
+                Severity::Error => config.deny(rule),
+                Severity::Note => {
+                    return Err(ProtoError::new(
+                        "severity 'note' is not expressible in a lint config",
+                    ))
+                }
+            };
+            if !setting.enabled {
+                config = config.allow(rule);
+            }
+        }
+        Ok(config
+            .with_supply_names(field(v, "vdd")?, field(v, "gnd")?)
+            .with_min_channel_dim(field(v, "min_channel_dim")?)
+            .with_overload_threshold(field(v, "overload_cap_af_per_drive")?))
+    }
+}
+
+/// `{"op":…,"session":…,…}`: the `op` spelling, then the operands
+/// (the envelope fields are added by [`encode_request`]).
+impl Wire for Request {
+    fn to_json(&self) -> Json {
+        let mut pairs = vec![("op", Json::str(self.op()))];
+        pairs.extend(self.session().map(|s| ("session", Json::str(s))));
+        match self {
+            Request::Open {
+                cif,
+                bands,
+                options,
+                ..
+            } => pairs.extend([
+                ("cif", cif.to_json()),
+                ("bands", bands.to_json()),
+                ("options", options.to_json()),
+            ]),
+            Request::EditDiff { seq, diff, .. } => {
+                pairs.extend([("seq", seq.to_json()), ("diff", diff.to_json())])
+            }
+            Request::Lint { config, .. } => pairs.push(("config", config.to_json())),
+            Request::Drc { deck, config, .. } => {
+                pairs.extend([("deck", deck.to_json()), ("config", config.to_json())])
+            }
+            Request::QueryNet { net, .. } => pairs.push(("net", net.to_json())),
+            Request::Extract { .. } | Request::Close { .. } | Request::Status => {}
+        }
+        Json::obj(pairs)
+    }
+
+    fn from_json(v: &Json) -> Result<Request, ProtoError> {
+        let op: String = field(v, "op")?;
+        let session = || field(v, "session");
+        Ok(match op.as_str() {
+            "open" => Request::Open {
+                session: session()?,
+                cif: field(v, "cif")?,
+                bands: field(v, "bands")?,
+                options: field(v, "options")?,
+            },
+            "extract" => Request::Extract {
+                session: session()?,
+            },
+            "edit-diff" => Request::EditDiff {
+                session: session()?,
+                seq: field(v, "seq")?,
+                diff: field(v, "diff")?,
+            },
+            "lint" => Request::Lint {
+                session: session()?,
+                config: field(v, "config")?,
+            },
+            "drc" => Request::Drc {
+                session: session()?,
+                deck: field(v, "deck")?,
+                config: field(v, "config")?,
+            },
+            "query-net" => Request::QueryNet {
+                session: session()?,
+                net: field(v, "net")?,
+            },
+            "close" => Request::Close {
+                session: session()?,
+            },
+            "status" => Request::Status,
+            other => return Err(ProtoError::new(format!("unknown op '{other}'"))),
+        })
+    }
+}
+
+/// `{"ok":true,"result":…,…}` with the result's fields inline, or
+/// `{"ok":false,"error":{…}}` (the envelope fields are added by
+/// [`encode_response`]).
+impl Wire for Response {
+    fn to_json(&self) -> Json {
+        let (result, body) = match self {
+            Response::Opened { session, bands } => (
+                "opened",
+                Json::obj([("session", session.to_json()), ("bands", bands.to_json())]),
+            ),
+            Response::Extracted(result) => ("extracted", result.to_json()),
+            Response::Linted {
+                diagnostics,
+                report,
+            } => ("linted", findings(diagnostics, report)),
+            Response::DrcChecked {
+                diagnostics,
+                report,
+            } => ("drc", findings(diagnostics, report)),
+            Response::Net(info) => ("net", info.to_json()),
+            Response::Closed { session, existed } => (
+                "closed",
+                Json::obj([
+                    ("session", session.to_json()),
+                    ("existed", existed.to_json()),
+                ]),
+            ),
+            Response::Status(status) => ("status", status.to_json()),
+            Response::Error(e) => {
+                return Json::obj([("ok", Json::Bool(false)), ("error", e.to_json())])
+            }
+        };
+        concat(
+            Json::obj([("ok", Json::Bool(true)), ("result", Json::str(result))]),
+            body,
+        )
+    }
+
+    fn from_json(v: &Json) -> Result<Response, ProtoError> {
+        if !field::<bool>(v, "ok")? {
+            return Ok(Response::Error(field(v, "error")?));
+        }
+        let result: String = field(v, "result")?;
+        Ok(match result.as_str() {
+            "opened" => Response::Opened {
+                session: field(v, "session")?,
+                bands: field(v, "bands")?,
+            },
+            "extracted" => Response::Extracted(ExtractResult::from_json(v)?),
+            "linted" => Response::Linted {
+                diagnostics: field(v, "diagnostics")?,
+                report: field(v, "report")?,
+            },
+            "drc" => Response::DrcChecked {
+                diagnostics: field(v, "diagnostics")?,
+                report: field(v, "report")?,
+            },
+            "net" => Response::Net(NetInfo::from_json(v)?),
+            "closed" => Response::Closed {
+                session: field(v, "session")?,
+                existed: field(v, "existed")?,
+            },
+            "status" => Response::Status(ServiceStatus::from_json(v)?),
+            other => return Err(ProtoError::new(format!("unknown result '{other}'"))),
+        })
+    }
+}
+
+/// The inline body of a `linted` or `drc` answer.
+fn findings(diagnostics: &Vec<WireDiagnostic>, report: &WireReport) -> Json {
+    Json::obj([
+        ("diagnostics", diagnostics.to_json()),
+        ("report", report.to_json()),
+    ])
+}
+
+/// The members of object `head` followed by those of object `body`.
+fn concat(head: Json, body: Json) -> Json {
+    match (head, body) {
+        (Json::Obj(mut pairs), Json::Obj(rest)) => {
+            pairs.extend(rest);
+            Json::Obj(pairs)
+        }
+        _ => unreachable!("wire messages are objects"),
+    }
+}
+
+/// Wraps a message in its envelope and renders the canonical bytes.
+fn encode(id: i64, message: &impl Wire) -> Vec<u8> {
+    let envelope = Json::obj([("v", Json::Int(PROTOCOL_VERSION)), ("id", Json::Int(id))]);
+    concat(envelope, message.to_json()).to_text().into_bytes()
+}
+
+/// Parses message bytes, checks the envelope, and decodes the body.
+fn decode<T: Wire>(bytes: &[u8]) -> Result<(i64, T), ProtoError> {
+    let text =
+        std::str::from_utf8(bytes).map_err(|_| ProtoError::new("message is not valid UTF-8"))?;
+    let v = Json::parse(text).map_err(|e| ProtoError::new(e.to_string()))?;
+    match field::<i64>(&v, "v")? {
+        PROTOCOL_VERSION => Ok((field(&v, "id")?, T::from_json(&v)?)),
+        other => Err(ProtoError::new(format!(
+            "protocol version {other} (this build speaks {PROTOCOL_VERSION})"
+        ))),
+    }
 }
 
 /// Encodes a request to its canonical wire bytes (compact JSON; frame
 /// it with [`crate::frame::write_frame`]).
 pub fn encode_request(id: i64, request: &Request) -> Vec<u8> {
-    request_to_json(id, request).to_text().into_bytes()
+    encode(id, request)
 }
 
 /// Decodes request bytes.
 ///
 /// # Errors
 ///
-/// [`ProtoError`] on invalid UTF-8/JSON or a malformed message.
+/// [`ProtoError`] on invalid UTF-8/JSON, a version mismatch, or a
+/// malformed message.
 pub fn decode_request(bytes: &[u8]) -> Result<(i64, Request), ProtoError> {
-    let text =
-        std::str::from_utf8(bytes).map_err(|_| ProtoError::new("request is not valid UTF-8"))?;
-    let v = Json::parse(text).map_err(|e| ProtoError::new(e.to_string()))?;
-    request_from_json(&v)
-}
-
-// ---------------------------------------------------------------------------
-// Json conversions: responses
-// ---------------------------------------------------------------------------
-
-fn report_to_json(r: &WireReport) -> Json {
-    Json::obj([
-        ("boxes", Json::Int(r.boxes)),
-        ("scanline_stops", Json::Int(r.scanline_stops)),
-        ("net_unions", Json::Int(r.net_unions)),
-        ("bands_reused", Json::Int(r.bands_reused)),
-        ("bands_reswept", Json::Int(r.bands_reswept)),
-        ("cache_bytes", Json::Int(r.cache_bytes)),
-        ("lints_emitted", Json::Int(r.lints_emitted)),
-        ("drc_violations", Json::Int(r.drc_violations)),
-        ("drc_time_ns", Json::Int(r.drc_time_ns)),
-        ("coalesced_edits", Json::Int(r.coalesced_edits)),
-        ("total_ns", Json::Int(r.total_ns)),
-    ])
-}
-
-fn report_from_json(v: &Json) -> Result<WireReport, ProtoError> {
-    let int = |key: &str| {
-        v.get(key)
-            .and_then(Json::as_int)
-            .ok_or_else(|| ProtoError::new(format!("report missing integer '{key}'")))
-    };
-    Ok(WireReport {
-        boxes: int("boxes")?,
-        scanline_stops: int("scanline_stops")?,
-        net_unions: int("net_unions")?,
-        bands_reused: int("bands_reused")?,
-        bands_reswept: int("bands_reswept")?,
-        cache_bytes: int("cache_bytes")?,
-        lints_emitted: int("lints_emitted")?,
-        drc_violations: int("drc_violations")?,
-        drc_time_ns: int("drc_time_ns")?,
-        coalesced_edits: int("coalesced_edits")?,
-        total_ns: int("total_ns")?,
-    })
-}
-
-impl WireReport {
-    /// Flattens the wire-relevant fields of an in-process report.
-    pub fn from_report(r: &ace_core::ExtractionReport) -> WireReport {
-        WireReport {
-            boxes: r.boxes as i64,
-            scanline_stops: r.scanline_stops as i64,
-            net_unions: r.net_unions as i64,
-            bands_reused: r.bands_reused as i64,
-            bands_reswept: r.bands_reswept as i64,
-            cache_bytes: r.cache_bytes as i64,
-            lints_emitted: r.lints_emitted as i64,
-            drc_violations: r.drc_violations as i64,
-            drc_time_ns: r.drc_time.as_nanos().min(i64::MAX as u128) as i64,
-            coalesced_edits: r.coalesced_edits as i64,
-            total_ns: r.total_time.as_nanos().min(i64::MAX as u128) as i64,
-        }
-    }
-}
-
-fn span_to_json(span: &LintSpan) -> Json {
-    let anchor = match span.anchor {
-        Anchor::At(p) => Json::obj([("at", point_to_json(p))]),
-        Anchor::Area(r) => Json::obj([("area", rect_to_json(r))]),
-    };
-    Json::obj([
-        ("anchor", anchor),
-        ("label", Json::str(&span.label)),
-        (
-            "name",
-            match &span.name {
-                Some(n) => Json::str(n),
-                None => Json::Null,
-            },
-        ),
-    ])
-}
-
-fn span_from_json(v: &Json) -> Result<LintSpan, ProtoError> {
-    let anchor_json = v
-        .get("anchor")
-        .ok_or_else(|| ProtoError::new("span missing 'anchor'"))?;
-    let anchor = if let Some(p) = anchor_json.get("at") {
-        Anchor::At(point_from_json(p)?)
-    } else if let Some(r) = anchor_json.get("area") {
-        Anchor::Area(rect_from_json(r)?)
-    } else {
-        return Err(ProtoError::new("anchor must have 'at' or 'area'"));
-    };
-    let label = v
-        .get("label")
-        .and_then(Json::as_str)
-        .ok_or_else(|| ProtoError::new("span missing 'label'"))?;
-    let name = match v.get("name") {
-        None | Some(Json::Null) => None,
-        Some(Json::Str(n)) => Some(n.clone()),
-        Some(_) => return Err(ProtoError::new("span 'name' must be null or a string")),
-    };
-    Ok(LintSpan {
-        anchor,
-        label: label.to_string(),
-        name,
-    })
-}
-
-fn diagnostics_to_json(diagnostics: &[WireDiagnostic]) -> Json {
-    Json::Arr(
-        diagnostics
-            .iter()
-            .map(|d| {
-                Json::obj([
-                    ("rule", Json::str(d.rule.name())),
-                    ("severity", Json::str(d.severity.name())),
-                    ("message", Json::str(&d.message)),
-                    ("primary", span_to_json(&d.primary)),
-                    ("rendered", Json::str(&d.rendered)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn diagnostics_from_json(v: &Json, result: &str) -> Result<Vec<WireDiagnostic>, ProtoError> {
-    v.get("diagnostics")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ProtoError::new(format!("'{result}' missing 'diagnostics'")))?
-        .iter()
-        .map(|d| {
-            let rule_name = d
-                .get("rule")
-                .and_then(Json::as_str)
-                .ok_or_else(|| ProtoError::new("diagnostic missing 'rule'"))?;
-            let severity_name = d
-                .get("severity")
-                .and_then(Json::as_str)
-                .ok_or_else(|| ProtoError::new("diagnostic missing 'severity'"))?;
-            Ok(WireDiagnostic {
-                rule: RuleId::from_name(rule_name)
-                    .ok_or_else(|| ProtoError::new(format!("unknown rule '{rule_name}'")))?,
-                severity: Severity::from_name(severity_name).ok_or_else(|| {
-                    ProtoError::new(format!("unknown severity '{severity_name}'"))
-                })?,
-                message: d
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| ProtoError::new("diagnostic missing 'message'"))?
-                    .to_string(),
-                primary: span_from_json(
-                    d.get("primary")
-                        .ok_or_else(|| ProtoError::new("diagnostic missing 'primary'"))?,
-                )?,
-                rendered: d
-                    .get("rendered")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| ProtoError::new("diagnostic missing 'rendered'"))?
-                    .to_string(),
-            })
-        })
-        .collect()
-}
-
-fn error_to_json(e: &ServiceError) -> Json {
-    Json::obj([
-        ("code", Json::str(e.code.name())),
-        ("message", Json::str(&e.message)),
-        (
-            "retry_after_ms",
-            match e.retry_after_ms {
-                Some(ms) => Json::Int(ms),
-                None => Json::Null,
-            },
-        ),
-    ])
-}
-
-fn error_from_json(v: &Json) -> Result<ServiceError, ProtoError> {
-    let code_name = v
-        .get("code")
-        .and_then(Json::as_str)
-        .ok_or_else(|| ProtoError::new("error missing 'code'"))?;
-    let code = ErrorCode::from_name(code_name)
-        .ok_or_else(|| ProtoError::new(format!("unknown error code '{code_name}'")))?;
-    let message = v
-        .get("message")
-        .and_then(Json::as_str)
-        .ok_or_else(|| ProtoError::new("error missing 'message'"))?
-        .to_string();
-    let retry_after_ms = match v.get("retry_after_ms") {
-        None | Some(Json::Null) => None,
-        Some(Json::Int(ms)) => Some(*ms),
-        Some(_) => return Err(ProtoError::new("'retry_after_ms' must be null or integer")),
-    };
-    Ok(ServiceError {
-        code,
-        message,
-        retry_after_ms,
-    })
-}
-
-/// Converts a response to its wire JSON value.
-pub fn response_to_json(id: i64, response: &Response) -> Json {
-    let ok = !matches!(response, Response::Error(_));
-    let mut rest: Vec<(String, Json)> = vec![("ok".into(), Json::Bool(ok))];
-    match response {
-        Response::Opened { session, bands } => {
-            rest.push(("result".into(), Json::str("opened")));
-            rest.push(("session".into(), Json::str(session)));
-            rest.push(("bands".into(), Json::Int(*bands as i64)));
-        }
-        Response::Extracted(result) => {
-            rest.push(("result".into(), Json::str("extracted")));
-            rest.push(("wirelist".into(), Json::str(&result.wirelist)));
-            rest.push(("report".into(), report_to_json(&result.report)));
-        }
-        Response::Linted {
-            diagnostics,
-            report,
-        } => {
-            rest.push(("result".into(), Json::str("linted")));
-            rest.push(("diagnostics".into(), diagnostics_to_json(diagnostics)));
-            rest.push(("report".into(), report_to_json(report)));
-        }
-        Response::DrcChecked {
-            diagnostics,
-            report,
-        } => {
-            rest.push(("result".into(), Json::str("drc")));
-            rest.push(("diagnostics".into(), diagnostics_to_json(diagnostics)));
-            rest.push(("report".into(), report_to_json(report)));
-        }
-        Response::Net(info) => {
-            rest.push(("result".into(), Json::str("net")));
-            rest.push(("net".into(), Json::str(&info.net)));
-            rest.push(("found".into(), Json::Bool(info.found)));
-            rest.push((
-                "names".into(),
-                Json::Arr(info.names.iter().map(Json::str).collect()),
-            ));
-            rest.push(("gates".into(), Json::Int(info.gates)));
-            rest.push(("terminals".into(), Json::Int(info.terminals)));
-            rest.push(("cap_af".into(), Json::Int(info.cap_af)));
-            rest.push(("res_mohm".into(), Json::Int(info.res_mohm)));
-        }
-        Response::Closed { session, existed } => {
-            rest.push(("result".into(), Json::str("closed")));
-            rest.push(("session".into(), Json::str(session)));
-            rest.push(("existed".into(), Json::Bool(*existed)));
-        }
-        Response::Status(s) => {
-            rest.push(("result".into(), Json::str("status")));
-            rest.push(("sessions".into(), Json::Int(s.sessions)));
-            rest.push(("cache_bytes".into(), Json::Int(s.cache_bytes)));
-            rest.push(("evictions".into(), Json::Int(s.evictions)));
-            rest.push(("executed".into(), Json::Int(s.executed)));
-            rest.push(("stolen".into(), Json::Int(s.stolen)));
-            rest.push(("queued".into(), Json::Int(s.queued)));
-            rest.push(("workers".into(), Json::Int(s.workers)));
-            rest.push(("coalesced_edits".into(), Json::Int(s.coalesced_edits)));
-        }
-        Response::Error(e) => {
-            rest.push(("error".into(), error_to_json(e)));
-        }
-    }
-    envelope(id, rest)
-}
-
-/// Parses a response from its wire JSON value.
-///
-/// # Errors
-///
-/// [`ProtoError`] on version mismatch or malformed payloads.
-pub fn response_from_json(v: &Json) -> Result<(i64, Response), ProtoError> {
-    let id = check_envelope(v)?;
-    let ok = v
-        .get("ok")
-        .and_then(Json::as_bool)
-        .ok_or_else(|| ProtoError::new("missing boolean 'ok'"))?;
-    if !ok {
-        let e = error_from_json(
-            v.get("error")
-                .ok_or_else(|| ProtoError::new("failed response missing 'error'"))?,
-        )?;
-        return Ok((id, Response::Error(e)));
-    }
-    let result = v
-        .get("result")
-        .and_then(Json::as_str)
-        .ok_or_else(|| ProtoError::new("ok response missing 'result'"))?;
-    let session = || {
-        v.get("session")
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| ProtoError::new(format!("'{result}' missing 'session'")))
-    };
-    let response = match result {
-        "opened" => Response::Opened {
-            session: session()?,
-            bands: opt_usize_from_json(v.get("bands"), "bands")?
-                .ok_or_else(|| ProtoError::new("'opened' missing 'bands'"))?,
-        },
-        "extracted" => Response::Extracted(ExtractResult {
-            wirelist: v
-                .get("wirelist")
-                .and_then(Json::as_str)
-                .ok_or_else(|| ProtoError::new("'extracted' missing 'wirelist'"))?
-                .to_string(),
-            report: report_from_json(
-                v.get("report")
-                    .ok_or_else(|| ProtoError::new("'extracted' missing 'report'"))?,
-            )?,
-        }),
-        "linted" => Response::Linted {
-            diagnostics: diagnostics_from_json(v, "linted")?,
-            report: report_from_json(
-                v.get("report")
-                    .ok_or_else(|| ProtoError::new("'linted' missing 'report'"))?,
-            )?,
-        },
-        "drc" => Response::DrcChecked {
-            diagnostics: diagnostics_from_json(v, "drc")?,
-            report: report_from_json(
-                v.get("report")
-                    .ok_or_else(|| ProtoError::new("'drc' missing 'report'"))?,
-            )?,
-        },
-        "net" => Response::Net(NetInfo {
-            net: v
-                .get("net")
-                .and_then(Json::as_str)
-                .ok_or_else(|| ProtoError::new("'net' missing 'net'"))?
-                .to_string(),
-            found: v
-                .get("found")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| ProtoError::new("'net' missing 'found'"))?,
-            names: v
-                .get("names")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| ProtoError::new("'net' missing 'names'"))?
-                .iter()
-                .map(|n| {
-                    n.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| ProtoError::new("'names' entries must be strings"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            gates: v
-                .get("gates")
-                .and_then(Json::as_int)
-                .ok_or_else(|| ProtoError::new("'net' missing 'gates'"))?,
-            terminals: v
-                .get("terminals")
-                .and_then(Json::as_int)
-                .ok_or_else(|| ProtoError::new("'net' missing 'terminals'"))?,
-            cap_af: v
-                .get("cap_af")
-                .and_then(Json::as_int)
-                .ok_or_else(|| ProtoError::new("'net' missing 'cap_af'"))?,
-            res_mohm: v
-                .get("res_mohm")
-                .and_then(Json::as_int)
-                .ok_or_else(|| ProtoError::new("'net' missing 'res_mohm'"))?,
-        }),
-        "closed" => Response::Closed {
-            session: session()?,
-            existed: v
-                .get("existed")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| ProtoError::new("'closed' missing 'existed'"))?,
-        },
-        "status" => {
-            let int = |key: &str| {
-                v.get(key)
-                    .and_then(Json::as_int)
-                    .ok_or_else(|| ProtoError::new(format!("'status' missing '{key}'")))
-            };
-            Response::Status(ServiceStatus {
-                sessions: int("sessions")?,
-                cache_bytes: int("cache_bytes")?,
-                evictions: int("evictions")?,
-                executed: int("executed")?,
-                stolen: int("stolen")?,
-                queued: int("queued")?,
-                workers: int("workers")?,
-                coalesced_edits: int("coalesced_edits")?,
-            })
-        }
-        other => return Err(ProtoError::new(format!("unknown result '{other}'"))),
-    };
-    Ok((id, response))
+    decode(bytes)
 }
 
 /// Encodes a response to its canonical wire bytes.
 pub fn encode_response(id: i64, response: &Response) -> Vec<u8> {
-    response_to_json(id, response).to_text().into_bytes()
+    encode(id, response)
 }
 
 /// Decodes response bytes.
 ///
 /// # Errors
 ///
-/// [`ProtoError`] on invalid UTF-8/JSON or a malformed message.
+/// [`ProtoError`] on invalid UTF-8/JSON, a version mismatch, or a
+/// malformed message.
 pub fn decode_response(bytes: &[u8]) -> Result<(i64, Response), ProtoError> {
-    let text =
-        std::str::from_utf8(bytes).map_err(|_| ProtoError::new("response is not valid UTF-8"))?;
-    let v = Json::parse(text).map_err(|e| ProtoError::new(e.to_string()))?;
-    response_from_json(&v)
+    decode(bytes)
 }
 
 #[cfg(test)]
@@ -1420,62 +1066,48 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_rejected() {
-        let mut v = request_to_json(1, &Request::Status);
-        if let Json::Obj(pairs) = &mut v {
-            pairs[0].1 = Json::Int(99);
-        }
-        let err = request_from_json(&v).unwrap_err();
+        let bytes = String::from_utf8(encode_request(1, &Request::Status)).unwrap();
+        let bytes = bytes.replace("\"v\":1", "\"v\":99");
+        let err = decode_request(bytes.as_bytes()).unwrap_err();
         assert!(err.message.contains("version 99"));
     }
 
     #[test]
     fn unknown_op_and_missing_fields_are_protocol_errors() {
-        let v = Json::obj([
-            ("v", Json::Int(PROTOCOL_VERSION)),
-            ("id", Json::Int(1)),
-            ("op", Json::str("frobnicate")),
-        ]);
-        assert!(request_from_json(&v)
-            .unwrap_err()
-            .message
-            .contains("frobnicate"));
+        let err = decode_request(br#"{"v":1,"id":1,"op":"frobnicate"}"#).unwrap_err();
+        assert!(err.message.contains("frobnicate"));
 
-        let v = Json::obj([
-            ("v", Json::Int(PROTOCOL_VERSION)),
-            ("id", Json::Int(1)),
-            ("op", Json::str("extract")),
-        ]);
-        assert!(request_from_json(&v)
-            .unwrap_err()
-            .message
-            .contains("session"));
+        let err = decode_request(br#"{"v":1,"id":1,"op":"extract"}"#).unwrap_err();
+        assert_eq!(err.message, "missing 'session'");
+
+        // A wrong type is reported with the path to it.
+        let err = decode_request(br#"{"v":1,"id":1,"op":"close","session":7}"#).unwrap_err();
+        assert_eq!(err.message, "'session': expected a string");
     }
 
     #[test]
     fn lint_config_severity_note_is_rejected() {
-        let mut v = lint_config_to_json(&LintConfig::new());
+        let text = LintConfig::new().to_json().to_text();
         // Corrupt the first rule's severity.
-        if let Some(Json::Arr(rules)) = v.get("rules").cloned() {
-            let mut rules = rules;
-            if let Json::Obj(pairs) = &mut rules[0] {
-                for (k, val) in pairs.iter_mut() {
-                    if k == "severity" {
-                        *val = Json::str("note");
-                    }
-                }
-            }
-            if let Json::Obj(pairs) = &mut v {
-                for (k, val) in pairs.iter_mut() {
-                    if k == "rules" {
-                        *val = Json::Arr(rules.clone());
-                    }
-                }
+        let text = text.replacen("\"severity\":\"error\"", "\"severity\":\"note\"", 1);
+        let err = LintConfig::from_json(&Json::parse(&text).unwrap()).unwrap_err();
+        assert!(err.message.contains("note"));
+    }
+
+    #[test]
+    fn absent_and_null_optionals_both_read_as_none() {
+        for seq in ["", ",\"seq\":null"] {
+            let text = format!(
+                r#"{{"v":1,"id":1,"op":"edit-diff","session":"s"{seq},"diff":{{"boxes_added":[],"boxes_removed":[],"labels_added":[],"labels_removed":[]}}}}"#
+            );
+            match decode_request(text.as_bytes()).unwrap().1 {
+                Request::EditDiff { seq, .. } => assert_eq!(seq, None),
+                other => panic!("decoded {other:?}"),
             }
         }
-        assert!(lint_config_from_json(&v)
-            .unwrap_err()
-            .message
-            .contains("note"));
+        let err =
+            decode_request(br#"{"v":1,"id":1,"op":"drc","session":"s","deck":5}"#).unwrap_err();
+        assert_eq!(err.message, "'deck': expected a string");
     }
 
     #[test]

@@ -9,10 +9,8 @@ use ace_geom::{Layer, Point, Rect};
 use ace_layout::LayoutDiff;
 use ace_lint::{Anchor, LintConfig, LintSpan, RuleId, Severity};
 use ace_service::protocol::{
-    decode_request, decode_response, diff_from_json, diff_to_json, encode_request, encode_response,
-    lint_config_from_json, lint_config_to_json, options_from_json, options_to_json, ErrorCode,
-    ExtractResult, NetInfo, Request, Response, ServiceError, ServiceStatus, WireDiagnostic,
-    WireReport,
+    decode_request, decode_response, encode_request, encode_response, ErrorCode, ExtractResult,
+    NetInfo, Request, Response, ServiceError, ServiceStatus, Wire, WireDiagnostic, WireReport,
 };
 use proptest::prelude::*;
 
@@ -292,6 +290,11 @@ fn response() -> impl Strategy<Value = Response> {
 // Round-trip properties
 // ---------------------------------------------------------------------------
 
+/// Encodes through the [`Wire`] trait and decodes back.
+fn wire_round_trip<T: Wire>(value: &T) -> T {
+    T::from_json(&value.to_json()).expect("decodes")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -313,14 +316,13 @@ proptest! {
 
     #[test]
     fn diffs_and_options_round_trip_standalone(d in diff(), o in options()) {
-        prop_assert_eq!(diff_from_json(&diff_to_json(&d)).expect("diff"), d);
-        prop_assert_eq!(options_from_json(&options_to_json(&o)).expect("options"), o);
+        prop_assert_eq!(wire_round_trip(&d), d);
+        prop_assert_eq!(wire_round_trip(&o), o);
     }
 
     #[test]
     fn lint_configs_round_trip(config in lint_config()) {
-        let back = lint_config_from_json(&lint_config_to_json(&config)).expect("config");
-        prop_assert_eq!(back, config);
+        prop_assert_eq!(wire_round_trip(&config), config);
     }
 }
 

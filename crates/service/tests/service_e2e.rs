@@ -455,3 +455,30 @@ fn sequenced_edits_apply_exactly_once_and_duplicates_ack_idempotently() {
 
     daemon.join();
 }
+
+#[test]
+fn a_deeply_nested_frame_is_refused_and_the_daemon_keeps_serving() {
+    use ace_service::frame::{read_frame, write_frame};
+    use ace_service::protocol::decode_response;
+    use ace_service::Response;
+
+    let daemon = Daemon::new(ServiceConfig::default());
+    let addr = daemon.serve_tcp("127.0.0.1:0").expect("bind tcp");
+
+    // 20 KB of `[`: unbounded recursive descent would overflow the
+    // connection thread's stack and abort the whole process.
+    let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
+    write_frame(&mut raw, "[".repeat(20_000).as_bytes()).expect("send");
+    let answer = read_frame(&mut raw).expect("read").expect("frame");
+    match decode_response(&answer).expect("answer decodes") {
+        (_, Response::Error(e)) => {
+            assert_eq!(e.code, ErrorCode::BadRequest);
+            assert!(e.message.contains("nesting"), "{}", e.message);
+        }
+        (_, other) => panic!("expected bad-request, got {other:?}"),
+    }
+
+    let mut client = Client::connect_tcp(&addr.to_string()).expect("connect");
+    client.status().expect("status still answers");
+    daemon.join();
+}

@@ -3,6 +3,7 @@
 //! from, the Chrome-trace sink emits a well-formed timeline with one
 //! lane per band, and the summary sink's percentages add up.
 
+use ace::core::json::Json;
 use ace::prelude::*;
 use ace::workloads::cells::inverter_cif;
 use ace::workloads::mesh::mesh_cif;
@@ -139,24 +140,36 @@ fn chrome_trace_schema_is_valid_for_a_banded_run() {
         "stitch span missing"
     );
 
-    // The serialized form is a Chrome-trace object with a
-    // `traceEvents` array, thread-name metadata, and one constant pid.
-    let json = trace.to_json();
-    assert!(json.trim_start().starts_with("{\"traceEvents\":["));
-    assert!(json.trim_end().ends_with("]}"));
-    for key in [
-        "\"name\"", "\"ph\"", "\"ts\"", "\"pid\"", "\"tid\"", "\"cat\"",
-    ] {
-        assert!(json.contains(key), "missing {key}");
+    // The serialized form parses as a Chrome-trace object with a
+    // `traceEvents` array: thread-name metadata for every lane, then
+    // the B/E events, all under one constant pid.
+    let json = Json::parse(&trace.to_json()).expect("trace is valid JSON");
+    let trace_events = json
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .expect("traceEvents array");
+    assert_eq!(trace_events.len(), events.len() + 1 + stacks.len());
+    let str_of = |e: &Json, key: &str| e.get(key).and_then(Json::as_str).map(str::to_string);
+    let mut lane_names = Vec::new();
+    for e in trace_events {
+        assert_eq!(e.get("pid").and_then(Json::as_int), Some(1), "{e:?}");
+        assert!(str_of(e, "name").is_some(), "unnamed event {e:?}");
+        match str_of(e, "ph").as_deref() {
+            Some("M") => {
+                let name = e.get("args").and_then(|a| a.get("name"));
+                lane_names.extend(name.and_then(Json::as_str).map(str::to_string));
+            }
+            Some("B" | "E") => {
+                assert!(e.get("tid").and_then(Json::as_int).is_some(), "{e:?}");
+                assert!(e.get("ts").and_then(Json::as_int).is_some(), "{e:?}");
+                assert_eq!(str_of(e, "cat").as_deref(), Some("ace"));
+            }
+            other => panic!("unexpected phase {other:?}"),
+        }
     }
-    assert!(
-        json.contains("\"ph\":\"M\""),
-        "thread-name metadata missing"
-    );
-    assert!(json.contains("\"name\":\"main\""), "main lane unnamed");
-    assert!(json.contains("\"name\":\"band 0\""), "band lane unnamed");
-    assert!(json.contains("\"pid\":1"), "pid missing");
-    assert!(!json.contains("\"pid\":2"), "more than one pid");
+    for lane in ["ace", "main", "band 0"] {
+        assert!(lane_names.iter().any(|n| n == lane), "{lane} unnamed");
+    }
 }
 
 #[test]
