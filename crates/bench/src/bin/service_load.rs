@@ -204,13 +204,12 @@ fn build_oracle(cif: &str) -> Oracle {
     let lib = Library::from_cif_text(cif).expect("oracle parses");
     let flat = FlatLayout::from_library(&lib);
     let mut ex = IncrementalExtractor::new(flat, BANDS);
-    let mut extraction = ex.extract("aced").expect("oracle extracts");
+    let extraction = ex.extract("aced").expect("oracle extracts");
     let clean_wirelist = write_wirelist(&extraction.netlist, WirelistOptions::new());
-    let lint_rendered =
-        lint_extraction(&mut extraction, ex.layout(), &LintConfig::new(), &NullProbe)
-            .iter()
-            .map(|d| d.render())
-            .collect();
+    let lint_rendered = lint_extraction(&extraction, ex.layout(), &LintConfig::new(), &NullProbe)
+        .iter()
+        .map(|d| d.render())
+        .collect();
     ex.apply(&stub_diff(true)).expect("oracle applies stub");
     let stubbed = ex.extract("aced").expect("oracle re-extracts");
     Oracle {

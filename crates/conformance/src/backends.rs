@@ -4,15 +4,21 @@
 //! described by `(seed, cases, backends)` — three values that fit on
 //! a command line and reproduce bit-for-bit.
 
-use ace_core::{CircuitExtractor, FlatExtractor, LazyExtractor};
+use ace_core::{CircuitExtractor, ExtractOptions, FlatExtractor, LazyExtractor};
 use ace_geom::LAMBDA;
 use ace_hext::HierarchicalExtractor;
 use ace_layout::{FlatLayout, Library};
 use ace_raster::{CifplotExtractor, PartlistExtractor};
 
-/// Thread count for the banded backend: three bands exercises two
-/// seams on even tiny layouts without oversubscribing CI hosts.
-const BANDED_THREADS: usize = 3;
+/// Band counts `ace-banded` and the incremental checker run every
+/// case at: from one seam up to fifteen, so seams land on many
+/// different box edges. The list is fixed, so a repro or a corpus
+/// replay stays reproducible from its CIF alone.
+pub const BAND_COUNTS: [usize; 5] = [2, 3, 4, 8, 16];
+
+/// Worker threads draining the banded backend's bands: enough to
+/// exercise work stealing without oversubscribing CI hosts.
+const BANDED_THREADS: usize = 2;
 
 /// One of the six extractor backends behind [`CircuitExtractor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -61,13 +67,26 @@ impl BackendId {
         BackendId::ALL.into_iter().find(|b| b.name() == s)
     }
 
-    /// Builds the backend over a layout library.
-    pub fn instantiate(self, lib: &Library) -> Box<dyn CircuitExtractor> {
+    /// The band counts each case runs this backend at:
+    /// [`BAND_COUNTS`] for `ace-banded`, a single band for the others.
+    pub fn band_counts(self) -> &'static [usize] {
+        match self {
+            BackendId::AceBanded => &BAND_COUNTS,
+            _ => &[1],
+        }
+    }
+
+    /// Builds the backend over a layout library. `bands` is the band
+    /// count for `ace-banded`; the other backends ignore it.
+    pub fn instantiate(self, lib: &Library, bands: usize) -> Box<dyn CircuitExtractor> {
         let flat = || FlatLayout::from_library(lib);
+        let banded = ExtractOptions::new()
+            .with_threads(BANDED_THREADS)
+            .with_bands(bands);
         match self {
             BackendId::AceFlat => Box::new(FlatExtractor::new(flat())),
             BackendId::AceLazy => Box::new(LazyExtractor::new(lib.clone())),
-            BackendId::AceBanded => Box::new(FlatExtractor::banded(flat(), BANDED_THREADS)),
+            BackendId::AceBanded => Box::new(FlatExtractor::new(flat()).with_options(banded)),
             BackendId::Hext => Box::new(HierarchicalExtractor::new(lib.clone())),
             BackendId::Partlist => Box::new(PartlistExtractor::new(flat(), LAMBDA)),
             BackendId::Cifplot => Box::new(CifplotExtractor::new(flat(), LAMBDA)),
@@ -143,10 +162,12 @@ mod tests {
         let lib = Library::from_cif_text("L ND; B 500 2000 250 1000; L NP; B 2000 500 250 1000; E")
             .unwrap();
         for id in BackendId::ALL {
-            let mut b = id.instantiate(&lib);
-            assert_eq!(b.backend(), id.name());
-            let r = b.extract("t").unwrap();
-            assert_eq!(r.netlist.device_count(), 1, "{}", id.name());
+            for &bands in id.band_counts() {
+                let mut b = id.instantiate(&lib, bands);
+                assert_eq!(b.backend(), id.name());
+                let r = b.extract("t").unwrap();
+                assert_eq!(r.netlist.device_count(), 1, "{}", id.name());
+            }
         }
     }
 }

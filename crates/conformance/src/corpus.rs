@@ -129,8 +129,8 @@ fn parse_signatures(text: &str) -> Result<BTreeMap<String, (u64, usize, usize)>,
 /// Returns a description when the layout fails to parse or extract.
 pub fn canonical_entry(cif: &str) -> Result<(u64, usize, usize), String> {
     let lib = Library::from_cif_text(cif).map_err(|e| format!("parse failed: {e}"))?;
-    let extraction =
-        extract_pruned(BackendId::AceFlat, &lib).map_err(|e| format!("extraction failed: {e}"))?;
+    let extraction = extract_pruned(BackendId::AceFlat, &lib, 1)
+        .map_err(|e| format!("extraction failed: {e}"))?;
     Ok((
         structural_signature(&extraction.netlist),
         extraction.netlist.device_count(),
@@ -157,6 +157,7 @@ pub fn replay(dir: &Path, backends: &[BackendId]) -> Result<CorpusReport, String
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_default();
         let cif = std::fs::read_to_string(&path).map_err(|e| format!("{file}: {e}"))?;
+        let listed = signatures.remove(&file);
         let mut failure = None;
 
         match Library::from_cif_text(&cif) {
@@ -164,7 +165,7 @@ pub fn replay(dir: &Path, backends: &[BackendId]) -> Result<CorpusReport, String
             Ok(lib) => match check_agreement(&lib, backends) {
                 Err(e) => failure = Some(format!("reference extraction failed: {e}")),
                 Ok(Some(divergence)) => failure = Some(divergence.to_string()),
-                Ok(None) => match (canonical_entry(&cif), signatures.remove(&file)) {
+                Ok(None) => match (canonical_entry(&cif), listed) {
                     (Err(e), _) => failure = Some(e),
                     (Ok(_), None) => {
                         failure = Some(format!(

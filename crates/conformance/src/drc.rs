@@ -27,7 +27,7 @@ use ace_layout::{band_cuts, FlatLayout, Library};
 
 use crate::backends::BackendId;
 use crate::grid::Grid;
-use crate::harness::{check_agreement, diverges, Divergence};
+use crate::harness::{check_agreement, Divergence};
 
 fn bbox(cells: &[Rect]) -> Rect {
     cells.iter().skip(1).fold(cells[0], |a, r| {
@@ -352,22 +352,11 @@ pub fn check_agreement_with_drc(
     Ok(
         drc_check(&layout, &RuleDeck::nmos()).map(|detail| Divergence {
             backend: backends[0],
+            bands: 1,
             reference: backends[0],
             detail,
         }),
     )
-}
-
-/// Shrink oracle for DRC runs: the layout still counts as divergent
-/// if the circuits or any DRC comparison disagree.
-pub fn diverges_with_drc(cif: &str, backends: &[BackendId]) -> bool {
-    if diverges(cif, backends) {
-        return true;
-    }
-    let Ok(lib) = Library::from_cif_text(cif) else {
-        return false;
-    };
-    matches!(check_agreement_with_drc(&lib, backends), Ok(Some(_)))
 }
 
 #[cfg(test)]

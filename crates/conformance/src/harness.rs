@@ -10,18 +10,19 @@
 //! * Floating nets are pruned first — backends legitimately differ on
 //!   how many unconnected net records they materialize.
 //! * When the reference run reports no multi-terminal devices, the
-//!   comparison is **strict**: [`same_circuit`] (location-keyed
-//!   device matching plus wiring) and a [`structural_signature`]
-//!   cross-check.
+//!   comparison is **strict**: [`same_circuit`], location-keyed
+//!   device matching plus an exact comparison of the wiring.
 //! * When multi-terminal devices are present, source/drain
 //!   tie-breaking on >2-terminal channels legitimately differs
 //!   between algorithms (the same policy the property tests use), so
-//!   the comparison degrades to the device census: the multiset of
-//!   `(kind, length, width, location)`.
+//!   the comparison degrades to the device census: only a device
+//!   count or key mismatch from [`same_circuit`] counts.
+//!
+//! [`same_circuit`]: ace_wirelist::compare::same_circuit
 
 use ace_core::{CounterProbe, ExtractError, Extraction};
 use ace_layout::Library;
-use ace_wirelist::compare::{explain_mismatch, same_circuit, structural_signature};
+use ace_wirelist::compare::{explain_mismatch, CircuitDiff};
 use ace_wirelist::Netlist;
 
 use crate::backends::BackendId;
@@ -31,6 +32,8 @@ use crate::backends::BackendId;
 pub struct Divergence {
     /// The backend that disagreed.
     pub backend: BackendId,
+    /// The band count it ran at (see [`BackendId::band_counts`]).
+    pub bands: usize,
     /// The reference it was compared against.
     pub reference: BackendId,
     /// Human-readable explanation (mismatch report or census diff).
@@ -39,61 +42,62 @@ pub struct Divergence {
 
 impl std::fmt::Display for Divergence {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}", self.backend.name())?;
+        if self.backend.band_counts().len() > 1 {
+            write!(f, " at {} bands", self.bands)?;
+        }
         write!(
             f,
-            "{} disagrees with {}:\n{}",
-            self.backend.name(),
+            " disagrees with {}:\n{}",
             self.reference.name(),
             self.detail
         )
     }
 }
 
-/// Extracts `lib` with one backend, netlist pruned of floating nets.
+/// Extracts `lib` with one backend at `bands` bands (ignored by the
+/// unbanded backends), netlist pruned of floating nets.
 ///
 /// # Errors
 ///
 /// Propagates the backend's [`ExtractError`].
-pub fn extract_pruned(id: BackendId, lib: &Library) -> Result<Extraction, ExtractError> {
+pub fn extract_pruned(
+    id: BackendId,
+    lib: &Library,
+    bands: usize,
+) -> Result<Extraction, ExtractError> {
     let probe = CounterProbe::new();
-    let mut backend = id.instantiate(lib);
+    let mut backend = id.instantiate(lib, bands);
     let mut extraction = backend.extract_probed("conformance", &probe)?;
     extraction.netlist.prune_floating_nets();
     Ok(extraction)
 }
 
-/// The `(kind, length, width, location)` census key used when strict
-/// comparison is off the table.
-fn census(nl: &Netlist) -> Vec<String> {
-    let mut keys: Vec<String> = nl
-        .devices()
-        .iter()
-        .map(|d| format!("{:?} {}x{} at {}", d.kind, d.length, d.width, d.location))
-        .collect();
-    keys.sort();
-    keys
-}
-
-fn census_diff(reference: &Netlist, other: &Netlist) -> Option<String> {
-    let a = census(reference);
-    let b = census(other);
-    if a == b {
-        return None;
+/// Extracts `lib` with every backend after the reference, at each of
+/// its band counts, and returns the first result `judge` faults. A
+/// backend erroring where the reference succeeded is a divergence.
+pub(crate) fn first_divergence(
+    lib: &Library,
+    backends: &[BackendId],
+    mut judge: impl FnMut(&Extraction) -> Option<String>,
+) -> Option<Divergence> {
+    for &id in &backends[1..] {
+        for &bands in id.band_counts() {
+            let detail = match extract_pruned(id, lib, bands) {
+                Ok(other) => judge(&other),
+                Err(e) => Some(format!("backend failed where the reference succeeded: {e}")),
+            };
+            if let Some(detail) = detail {
+                return Some(Divergence {
+                    backend: id,
+                    bands,
+                    reference: backends[0],
+                    detail,
+                });
+            }
+        }
     }
-    let only_ref: Vec<&String> = a.iter().filter(|k| !b.contains(k)).collect();
-    let only_other: Vec<&String> = b.iter().filter(|k| !a.contains(k)).collect();
-    let mut out = format!(
-        "device census differs: {} vs {} devices\n",
-        a.len(),
-        b.len()
-    );
-    for k in only_ref.iter().take(8) {
-        out.push_str(&format!("  only in reference: {k}\n"));
-    }
-    for k in only_other.iter().take(8) {
-        out.push_str(&format!("  only in other: {k}\n"));
-    }
-    Some(out)
+    None
 }
 
 /// Compares one backend's result against the reference under the
@@ -102,31 +106,17 @@ fn census_diff(reference: &Netlist, other: &Netlist) -> Option<String> {
 /// edit-loop checker, which compares against a rebuilt layout rather
 /// than a second backend.
 pub(crate) fn compare_one(reference: &Extraction, other: &Netlist, strict: bool) -> Option<String> {
-    if strict {
-        if let Some(report) = explain_mismatch(&reference.netlist, other) {
-            return Some(report.to_string());
-        }
-        // explain_mismatch is built on same_circuit; the signature is
-        // an independent cross-check of the partition structure.
-        let (ls, rs) = (
-            structural_signature(&reference.netlist),
-            structural_signature(other),
-        );
-        if ls != rs {
-            debug_assert!(same_circuit(&reference.netlist, other).is_ok());
-            return Some(format!(
-                "same_circuit passed but structural signatures differ: \
-                 {ls:#018x} vs {rs:#018x}"
-            ));
-        }
-        None
-    } else {
-        census_diff(&reference.netlist, other)
-    }
+    let report = explain_mismatch(&reference.netlist, other)?;
+    let census_differs = matches!(
+        report.diff,
+        CircuitDiff::DeviceCount { .. } | CircuitDiff::DeviceMismatch { .. }
+    );
+    (strict || census_differs).then(|| report.to_string())
 }
 
-/// Runs every backend over `lib` and returns the first divergence
-/// from the reference (`backends[0]`), if any.
+/// Runs every backend over `lib` (`ace-banded` once per band count)
+/// and returns the first divergence from the reference
+/// (`backends[0]`), if any.
 ///
 /// # Errors
 ///
@@ -136,29 +126,11 @@ pub fn check_agreement(
     lib: &Library,
     backends: &[BackendId],
 ) -> Result<Option<Divergence>, ExtractError> {
-    let reference_id = backends[0];
-    let reference = extract_pruned(reference_id, lib)?;
+    let reference = extract_pruned(backends[0], lib, 1)?;
     let strict = reference.report.multi_terminal_devices == 0;
-    for &id in &backends[1..] {
-        let other = match extract_pruned(id, lib) {
-            Ok(e) => e,
-            Err(e) => {
-                return Ok(Some(Divergence {
-                    backend: id,
-                    reference: reference_id,
-                    detail: format!("backend failed where the reference succeeded: {e}"),
-                }));
-            }
-        };
-        if let Some(detail) = compare_one(&reference, &other.netlist, strict) {
-            return Ok(Some(Divergence {
-                backend: id,
-                reference: reference_id,
-                detail,
-            }));
-        }
-    }
-    Ok(None)
+    Ok(first_divergence(lib, backends, |other| {
+        compare_one(&reference, &other.netlist, strict)
+    }))
 }
 
 /// Whether `cif` still makes the backends diverge — the shrinker's

@@ -4,12 +4,12 @@
 //! on a *static* layout. The incremental extractor makes a stronger
 //! claim — that re-extraction after an edit equals a from-scratch
 //! extraction of the edited layout — so it gets its own loop: sample
-//! a layout strategy, seed an [`IncrementalExtractor`], then apply
-//! several rounds of random edits ([`ace_workloads::edits`]),
+//! a layout strategy, seed an [`IncrementalExtractor`] at each of
+//! the [`BAND_COUNTS`], then apply the same several rounds of random
+//! edits ([`ace_workloads::edits`]),
 //! re-extracting incrementally after each round and comparing
 //! against a full flat extraction of the same layout under the
-//! harness's strict comparison policy ([`same_circuit`] plus the
-//! structural-signature cross-check, census fallback on
+//! harness's comparison policy ([`same_circuit`], census fallback on
 //! multi-terminal channels).
 //!
 //! [`same_circuit`]: ace_wirelist::compare::same_circuit
@@ -20,13 +20,9 @@ use ace_layout::{FlatLayout, Library};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+use crate::backends::BAND_COUNTS;
 use crate::harness::{case_seed, compare_one};
 use crate::strategies::LayoutStrategy;
-
-/// Bands the checker's incremental extractor uses — matching the
-/// banded conformance backend so the two exercise the same seam
-/// machinery.
-const BANDS: usize = 3;
 
 /// Edit rounds per case; each round applies 1–4 random operations.
 pub const EDIT_ROUNDS: u32 = 4;
@@ -40,6 +36,8 @@ pub struct EditCaseFailure {
     pub case_seed: u64,
     /// Strategy that generated the base layout.
     pub strategy: String,
+    /// The incremental extractor's band count.
+    pub bands: usize,
     /// Edit round the mismatch appeared in (0 = before any edit).
     pub round: u32,
     /// Comparison report or extraction error.
@@ -50,8 +48,8 @@ impl std::fmt::Display for EditCaseFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "case {} [{}] round {}: incremental disagrees with full:\n{}",
-            self.index, self.strategy, self.round, self.detail
+            "case {} [{}] at {} bands round {}: incremental disagrees with full:\n{}",
+            self.index, self.strategy, self.bands, self.round, self.detail
         )
     }
 }
@@ -73,10 +71,18 @@ fn compare_round(inc: &mut IncrementalExtractor) -> Result<Option<String>, Extra
     Ok(compare_one(&reference, &got.netlist, strict))
 }
 
-/// Runs one edit case: generate the layout for `(seed, index)`, then
-/// check incremental-vs-full after the seed extraction and after each
-/// of `rounds` edit rounds. Returns the first failure, if any.
+/// Runs one edit case at every band count: generate the layout for
+/// `(seed, index)`, then check incremental-vs-full after the seed
+/// extraction and after each of `rounds` edit rounds. Returns the
+/// first failure, if any.
 pub fn check_edit_case(seed: u64, index: u32, rounds: u32) -> Option<EditCaseFailure> {
+    BAND_COUNTS
+        .iter()
+        .find_map(|&bands| check_edit_case_at(seed, index, rounds, bands))
+}
+
+/// [`check_edit_case`] at one band count.
+fn check_edit_case_at(seed: u64, index: u32, rounds: u32, bands: usize) -> Option<EditCaseFailure> {
     let cs = case_seed(seed, index);
     let mut rng = ChaCha8Rng::seed_from_u64(cs);
     let strategy = LayoutStrategy::sample(&mut rng);
@@ -85,6 +91,7 @@ pub fn check_edit_case(seed: u64, index: u32, rounds: u32) -> Option<EditCaseFai
             index,
             case_seed: cs,
             strategy: strategy.name(),
+            bands,
             round,
             detail,
         })
@@ -94,7 +101,7 @@ pub fn check_edit_case(seed: u64, index: u32, rounds: u32) -> Option<EditCaseFai
         Ok(lib) => lib,
         Err(e) => return fail(0, format!("generated CIF failed to parse: {e}")),
     };
-    let mut inc = IncrementalExtractor::new(FlatLayout::from_library(&lib), BANDS);
+    let mut inc = IncrementalExtractor::new(FlatLayout::from_library(&lib), bands);
 
     for round in 0..=rounds {
         if round > 0 {

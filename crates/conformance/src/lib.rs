@@ -17,9 +17,9 @@
 //! * [`backends`] — the six backends as nameable, instantiable
 //!   units behind [`ace_core::CircuitExtractor`].
 //! * [`harness`] — differential execution and the comparison policy
-//!   (location-keyed [`ace_wirelist::compare::same_circuit`] with a
-//!   structural-signature cross-check; device-census fallback when
-//!   multi-terminal tie-breaking makes wiring comparison unsound).
+//!   (location-keyed [`ace_wirelist::compare::same_circuit`];
+//!   device-census fallback when multi-terminal tie-breaking makes
+//!   wiring comparison unsound).
 //! * [`incremental`] — the edit-loop checker: apply random edits to
 //!   a generated layout and verify `ace_core`'s incremental
 //!   re-extraction against a from-scratch extraction after each.
@@ -78,13 +78,11 @@ pub mod shrink;
 pub mod strategies;
 
 pub use backends::{parse_backend_list, BackendId};
-pub use drc::{check_agreement_with_drc, diverges_with_drc, drc_check, oracle_violations};
+pub use drc::{check_agreement_with_drc, drc_check, oracle_violations};
 pub use harness::{case_seed, check_agreement, diverges, Divergence};
 pub use incremental::{check_edit_case, run_edit_cases, EditCaseFailure};
-pub use lints::{check_agreement_with_lints, diverges_with_lints, lint_signature};
-pub use parasitics::{
-    check_agreement_with_parasitics, diverges_with_parasitics, oracle_check, parasitic_signature,
-};
+pub use lints::{check_agreement_with_lints, lint_signature};
+pub use parasitics::{check_agreement_with_parasitics, oracle_check, parasitic_signature};
 pub use runner::{run, run_with, DivergentCase, RunConfig, RunSummary};
 pub use shrink::{shrink, shrink_with_budget, ShrinkStats};
 pub use strategies::LayoutStrategy;

@@ -20,7 +20,7 @@ use ace_lint::{lint, Diagnostic, LintConfig};
 use ace_wirelist::Netlist;
 
 use crate::backends::BackendId;
-use crate::harness::{compare_one, diverges, extract_pruned, Divergence};
+use crate::harness::{compare_one, extract_pruned, first_divergence, Divergence};
 
 /// The canonical per-backend lint signature: every rendered
 /// diagnostic line, in the engine's sorted order.
@@ -58,53 +58,17 @@ pub fn check_agreement_with_lints(
     lib: &Library,
     backends: &[BackendId],
 ) -> Result<Option<Divergence>, ExtractError> {
-    let reference_id = backends[0];
-    let reference = extract_pruned(reference_id, lib)?;
+    let reference = extract_pruned(backends[0], lib, 1)?;
     let strict = reference.report.multi_terminal_devices == 0;
     let layout = FlatLayout::from_library(lib);
     let expect = strict.then(|| lint_signature(&reference.netlist, &layout));
-    for &id in &backends[1..] {
-        let other = match extract_pruned(id, lib) {
-            Ok(e) => e,
-            Err(e) => {
-                return Ok(Some(Divergence {
-                    backend: id,
-                    reference: reference_id,
-                    detail: format!("backend failed where the reference succeeded: {e}"),
-                }));
-            }
-        };
-        if let Some(detail) = compare_one(&reference, &other.netlist, strict) {
-            return Ok(Some(Divergence {
-                backend: id,
-                reference: reference_id,
-                detail,
-            }));
-        }
-        if let Some(expect) = &expect {
+    Ok(first_divergence(lib, backends, |other| {
+        compare_one(&reference, &other.netlist, strict).or_else(|| {
+            let expect = expect.as_ref()?;
             let got = lint_signature(&other.netlist, &layout);
-            if &got != expect {
-                return Ok(Some(Divergence {
-                    backend: id,
-                    reference: reference_id,
-                    detail: lint_diff(expect, &got),
-                }));
-            }
-        }
-    }
-    Ok(None)
-}
-
-/// Shrink oracle for lint-agreement runs: the layout still counts as
-/// divergent if either the circuits or the lint signatures disagree.
-pub fn diverges_with_lints(cif: &str, backends: &[BackendId]) -> bool {
-    if diverges(cif, backends) {
-        return true;
-    }
-    let Ok(lib) = Library::from_cif_text(cif) else {
-        return false;
-    };
-    matches!(check_agreement_with_lints(&lib, backends), Ok(Some(_)))
+            (&got != expect).then(|| lint_diff(expect, &got))
+        })
+    }))
 }
 
 #[cfg(test)]

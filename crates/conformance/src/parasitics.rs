@@ -8,10 +8,15 @@
 //!    Net ids differ between backends, so nets are keyed by a
 //!    backend-stable signature: sorted user names plus symmetric
 //!    device attachments anchored on device locations (`G@` for
-//!    gates, `T@` for channel terminals — terminal entries do not
-//!    distinguish source from drain, so the comparison survives the
-//!    multi-terminal tie-breaking cases where wiring comparison
-//!    degrades to a census).
+//!    gates, `T@` for channel terminals, which do not distinguish
+//!    source from drain). On a channel with more than two terminals,
+//!    backends may break a tie between equal edges differently and
+//!    pick different nets as source and drain, so when the reference
+//!    reports such a channel the `T@` anchors are dropped — the same
+//!    switch that degrades the wiring comparison to a census. Nets
+//!    left with neither a name nor an anchor have no backend-stable
+//!    identity (whether one survives pruning depends on that tie) and
+//!    are not compared.
 //! 2. **Accumulator exactness** — the sweep's incremental
 //!    add-rect/subtract-shared-edge accounting equals a brute-force
 //!    union computation done by 2D coordinate compression (color a
@@ -27,15 +32,17 @@ use ace_wirelist::{NetParasitics, Netlist};
 
 use crate::backends::BackendId;
 use crate::grid::Grid;
-use crate::harness::{diverges, extract_pruned, Divergence};
+use crate::harness::{compare_one, extract_pruned, first_divergence, Divergence};
 
 /// One net's backend-stable identity plus its parasitic totals.
 pub type ParasiticEntry = (String, NetParasitics);
 
 /// The canonical per-backend parasitic signature: one entry per net,
-/// keyed by sorted names and symmetric device-location attachments,
-/// sorted for order-independent comparison.
-pub fn parasitic_signature(nl: &Netlist) -> Vec<ParasiticEntry> {
+/// keyed by sorted names and symmetric device-location attachments
+/// (terminal attachments only when `anchor_terminals` is set), sorted
+/// for order-independent comparison. Nets with an empty key are
+/// skipped.
+pub fn parasitic_signature(nl: &Netlist, anchor_terminals: bool) -> Vec<ParasiticEntry> {
     let mut keys: Vec<Vec<String>> = vec![Vec::new(); nl.net_count()];
     for (id, net) in nl.nets() {
         for name in &net.names {
@@ -44,8 +51,10 @@ pub fn parasitic_signature(nl: &Netlist) -> Vec<ParasiticEntry> {
     }
     for d in nl.devices() {
         keys[d.gate.0 as usize].push(format!("G@({}, {})", d.location.x, d.location.y));
-        for t in [d.source, d.drain] {
-            keys[t.0 as usize].push(format!("T@({}, {})", d.location.x, d.location.y));
+        if anchor_terminals {
+            for t in [d.source, d.drain] {
+                keys[t.0 as usize].push(format!("T@({}, {})", d.location.x, d.location.y));
+            }
         }
     }
     let mut out: Vec<ParasiticEntry> = nl
@@ -55,6 +64,7 @@ pub fn parasitic_signature(nl: &Netlist) -> Vec<ParasiticEntry> {
             k.sort();
             (k.join(" "), net.parasitics)
         })
+        .filter(|(key, _)| !key.is_empty())
         .collect();
     out.sort();
     out
@@ -167,9 +177,9 @@ pub fn oracle_check(lib: &Library) -> Result<Option<String>, ExtractError> {
     Ok(Some(out))
 }
 
-/// [`crate::check_agreement`]'s parasitic variant: the reference
+/// [`crate::check_agreement`] plus parasitic agreement: the reference
 /// extraction is validated against the brute-force oracle, then every
-/// backend's parasitic signature must equal the reference's.
+/// backend must agree on the circuit and on the parasitic signature.
 ///
 /// # Errors
 ///
@@ -179,50 +189,23 @@ pub fn check_agreement_with_parasitics(
     lib: &Library,
     backends: &[BackendId],
 ) -> Result<Option<Divergence>, ExtractError> {
-    let reference_id = backends[0];
     if let Some(detail) = oracle_check(lib)? {
         return Ok(Some(Divergence {
-            backend: reference_id,
-            reference: reference_id,
+            backend: backends[0],
+            bands: 1,
+            reference: backends[0],
             detail,
         }));
     }
-    let reference = extract_pruned(reference_id, lib)?;
-    let expect = parasitic_signature(&reference.netlist);
-    for &id in &backends[1..] {
-        let other = match extract_pruned(id, lib) {
-            Ok(e) => e,
-            Err(e) => {
-                return Ok(Some(Divergence {
-                    backend: id,
-                    reference: reference_id,
-                    detail: format!("backend failed where the reference succeeded: {e}"),
-                }));
-            }
-        };
-        let got = parasitic_signature(&other.netlist);
-        if got != expect {
-            return Ok(Some(Divergence {
-                backend: id,
-                reference: reference_id,
-                detail: parasitic_diff(&expect, &got),
-            }));
-        }
-    }
-    Ok(None)
-}
-
-/// Shrink oracle for parasitic runs: the layout still counts as
-/// divergent if the circuits, the parasitic signatures, or the
-/// brute-force check disagree.
-pub fn diverges_with_parasitics(cif: &str, backends: &[BackendId]) -> bool {
-    if diverges(cif, backends) {
-        return true;
-    }
-    let Ok(lib) = Library::from_cif_text(cif) else {
-        return false;
-    };
-    matches!(check_agreement_with_parasitics(&lib, backends), Ok(Some(_)))
+    let reference = extract_pruned(backends[0], lib, 1)?;
+    let strict = reference.report.multi_terminal_devices == 0;
+    let expect = parasitic_signature(&reference.netlist, strict);
+    Ok(first_divergence(lib, backends, |other| {
+        compare_one(&reference, &other.netlist, strict).or_else(|| {
+            let got = parasitic_signature(&other.netlist, strict);
+            (got != expect).then(|| parasitic_diff(&expect, &got))
+        })
+    }))
 }
 
 #[cfg(test)]
@@ -264,6 +247,20 @@ mod tests {
     #[test]
     fn backends_agree_on_inverter_parasitics() {
         let lib = Library::from_cif_text(&cells::inverter_cif()).unwrap();
+        let outcome = check_agreement_with_parasitics(&lib, &BackendId::ALL).unwrap();
+        assert!(outcome.is_none(), "{}", outcome.unwrap());
+    }
+
+    #[test]
+    fn multi_terminal_tie_breaks_do_not_diverge() {
+        // A channel whose equal terminal edges the backends assign to
+        // source and drain differently (shrunk from seed 1983 case 182).
+        let lib = Library::from_cif_text(
+            "L ND; B 1000 750 3250 875; L NP; B 250 250 2875 1375;
+             L ND; B 1000 750 2500 1125; B 500 500 1750 750;
+             L NP; B 5000 500 2500 1000; L ND; B 500 1250 1250 625; E",
+        )
+        .unwrap();
         let outcome = check_agreement_with_parasitics(&lib, &BackendId::ALL).unwrap();
         assert!(outcome.is_none(), "{}", outcome.unwrap());
     }

@@ -16,10 +16,10 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::backends::BackendId;
-use crate::drc::{check_agreement_with_drc, diverges_with_drc};
-use crate::harness::{case_seed, check_agreement, diverges, extract_pruned, Divergence};
-use crate::lints::{check_agreement_with_lints, diverges_with_lints};
-use crate::parasitics::{check_agreement_with_parasitics, diverges_with_parasitics};
+use crate::drc::check_agreement_with_drc;
+use crate::harness::{case_seed, check_agreement, extract_pruned, Divergence};
+use crate::lints::check_agreement_with_lints;
+use crate::parasitics::check_agreement_with_parasitics;
 use crate::shrink::{shrink_with_budget, ShrinkStats};
 use crate::strategies::LayoutStrategy;
 
@@ -128,6 +128,15 @@ pub fn run_with(
 ) -> Result<RunSummary, String> {
     let mut by_strategy: std::collections::BTreeMap<String, u32> = Default::default();
     let mut divergent = Vec::new();
+    let check = if config.drc {
+        check_agreement_with_drc
+    } else if config.parasitics {
+        check_agreement_with_parasitics
+    } else if config.lint_agreement {
+        check_agreement_with_lints
+    } else {
+        check_agreement
+    };
 
     for index in 0..config.cases {
         let seed = case_seed(config.seed, index);
@@ -140,30 +149,17 @@ pub fn run_with(
         let lib = Library::from_cif_text(&cif).map_err(|e| {
             format!("case {index} (seed {seed}, {name}): generated CIF invalid: {e}")
         })?;
-        let outcome = if config.drc {
-            check_agreement_with_drc(&lib, &config.backends)
-        } else if config.parasitics {
-            check_agreement_with_parasitics(&lib, &config.backends)
-        } else if config.lint_agreement {
-            check_agreement_with_lints(&lib, &config.backends)
-        } else {
-            check_agreement(&lib, &config.backends)
-        }
-        .map_err(|e| format!("case {index} (seed {seed}, {name}): reference failed: {e}"))?;
+        let outcome = check(&lib, &config.backends)
+            .map_err(|e| format!("case {index} (seed {seed}, {name}): reference failed: {e}"))?;
 
         progress(index, &name, outcome.as_ref());
         let Some(divergence) = outcome else { continue };
 
+        // The shrinker keeps a layout while it still fails the same
+        // check; layouts that no longer parse or extract do not count.
         let mut oracle = |text: &str| {
-            if config.drc {
-                diverges_with_drc(text, &config.backends)
-            } else if config.parasitics {
-                diverges_with_parasitics(text, &config.backends)
-            } else if config.lint_agreement {
-                diverges_with_lints(text, &config.backends)
-            } else {
-                diverges(text, &config.backends)
-            }
+            Library::from_cif_text(text)
+                .is_ok_and(|lib| matches!(check(&lib, &config.backends), Ok(Some(_))))
         };
         let (small, stats) = shrink_with_budget(&cif, &mut oracle, config.shrink_budget);
         let repro_cif = render_repro(config, index, seed, &name, &divergence, &small);
@@ -237,8 +233,11 @@ fn render_repro(
     // Wirelists of the shrunken layout, where available: re-extract
     // both sides so the comments describe the layout below them.
     if let Ok(lib) = Library::from_cif_text(small) {
-        for id in [divergence.reference, divergence.backend] {
-            match extract_pruned(id, &lib) {
+        for (id, bands) in [
+            (divergence.reference, 1),
+            (divergence.backend, divergence.bands),
+        ] {
+            match extract_pruned(id, &lib, bands) {
                 Ok(e) => {
                     out.push_str(&format!(
                         "( {} wirelist of the shrunken layout:\n",
@@ -295,6 +294,7 @@ mod tests {
         let config = RunConfig::new(1, 1);
         let divergence = Divergence {
             backend: BackendId::Hext,
+            bands: 1,
             reference: BackendId::AceFlat,
             detail: "device count differs: 2 vs 1 (weird (nested) parens)".to_string(),
         };

@@ -8,10 +8,11 @@
 //! The base strategies cover the repository's workload families —
 //! λ-aligned box soups, Bentley–Haken–Hon random squares (λ-aligned
 //! variant), worst-case mesh fragments, perturbed hand-designed leaf
-//! cells, and hierarchical CIF with rotated/mirrored symbol calls —
-//! and two combinators compose them: [`LayoutStrategy::Overlay`]
-//! superimposes two layouts, [`LayoutStrategy::Labeled`] decorates
-//! one with CIF `94` net labels at backend-safe sites.
+//! cells, hierarchical CIF with rotated/mirrored symbol calls, and
+//! gated diffusion rings — and two combinators compose them:
+//! [`LayoutStrategy::Overlay`] superimposes two layouts,
+//! [`LayoutStrategy::Labeled`] decorates one with CIF `94` net labels
+//! at backend-safe sites.
 
 use ace_cif::CifWriter;
 use ace_geom::{Layer, Point, Rect, Transform, LAMBDA};
@@ -133,6 +134,14 @@ pub enum LayoutStrategy {
     /// rotation/mirror transforms, optionally nested, optionally with
     /// symbol-internal `94` labels.
     Hierarchical(HierParams),
+    /// A diffusion ring with a poly gate across one side, optionally
+    /// implanted. Both sides of the channel are one net around the
+    /// loop, so it is a capacitor; a band seam through the loop parts
+    /// the sides within each band.
+    LoopedDiffusion {
+        /// Sub-seed for the λ sizes, gate position, implant and turn.
+        seed: u64,
+    },
     /// Superimpose two strategies' layouts at a λ-aligned offset.
     Overlay(Box<LayoutStrategy>, Box<LayoutStrategy>, Point),
     /// Decorate a strategy's layout with up to the given number of
@@ -150,6 +159,7 @@ impl LayoutStrategy {
             LayoutStrategy::MeshFragment { .. } => "mesh".into(),
             LayoutStrategy::PerturbedLeaf { cell, .. } => format!("leaf-{}", cell.name()),
             LayoutStrategy::Hierarchical(_) => "hier".into(),
+            LayoutStrategy::LoopedDiffusion { .. } => "looped-diffusion".into(),
             LayoutStrategy::Overlay(a, b, _) => format!("overlay({}+{})", a.name(), b.name()),
             LayoutStrategy::Labeled(inner, _) => format!("labeled({})", inner.name()),
         }
@@ -158,14 +168,17 @@ impl LayoutStrategy {
     /// Draws a random strategy (with all parameters fixed) from the
     /// default mix.
     pub fn sample(rng: &mut dyn RngCore) -> LayoutStrategy {
-        // Weighted pick over the seven families.
-        match rng.gen_range(0..18u32) {
+        // Weighted pick over the eight families.
+        match rng.gen_range(0..20u32) {
             0..=3 => Self::sample_soup(rng),
             4..=5 => Self::sample_bhh(rng),
             6..=7 => Self::sample_mesh(rng),
             8..=9 => Self::sample_leaf(rng),
             10..=12 => Self::sample_hier(rng),
-            13..=14 => {
+            13..=14 => LayoutStrategy::LoopedDiffusion {
+                seed: rng.next_u64(),
+            },
+            15..=16 => {
                 let a = Self::sample_base(rng);
                 let b = Self::sample_base(rng);
                 let dx = rng.gen_range(-16i64..17) * LAMBDA;
@@ -291,6 +304,7 @@ impl LayoutStrategy {
                 boxes_to_cif(&boxes)
             }
             LayoutStrategy::Hierarchical(params) => hierarchical_cif(params),
+            LayoutStrategy::LoopedDiffusion { seed } => looped_cif(*seed),
             LayoutStrategy::Overlay(a, b, offset) => {
                 overlay_flat_cif(&a.generate(), &b.generate(), *offset)
                     .expect("strategy output parses")
@@ -336,6 +350,37 @@ fn perturb(boxes: &mut Vec<(Layer, Rect)>, rng: &mut ChaCha8Rng) {
             boxes.push(copy);
         }
     }
+}
+
+/// [`LayoutStrategy::LoopedDiffusion`]: the ring is drawn with its
+/// gate across the bottom side, clear of the corners, then turned.
+fn looped_cif(seed: u64) -> String {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let t = rng.gen_range(1..3i64);
+    let gate = rng.gen_range(1..5i64);
+    let overhang = rng.gen_range(0..3i64);
+    let w = 2 * t + gate + rng.gen_range(2..12i64);
+    let h = 2 * t + overhang + rng.gen_range(1..12i64);
+    let x = rng.gen_range(t + 1..w - t - gate);
+    let mut boxes = vec![
+        (Layer::Diffusion, [0, 0, w, t]),
+        (Layer::Diffusion, [0, h - t, w, h]),
+        (Layer::Diffusion, [0, 0, t, h]),
+        (Layer::Diffusion, [w - t, 0, w, h]),
+        (Layer::Poly, [x, -overhang, x + gate, t + overhang]),
+    ];
+    if rng.gen_range(0..2u32) == 1 {
+        boxes.push((Layer::Implant, [x - 1, -1, x + gate + 1, t + 1]));
+    }
+    let turn = Transform::identity().rotate_quarter_turns(rng.gen_range(0..4u32) as u8);
+    let boxes: Vec<(Layer, Rect)> = boxes
+        .into_iter()
+        .map(|(layer, [x0, y0, x1, y1])| {
+            let r = Rect::new(x0 * LAMBDA, y0 * LAMBDA, x1 * LAMBDA, y1 * LAMBDA);
+            (layer, turn.apply_rect(&r))
+        })
+        .collect();
+    boxes_to_cif(&boxes)
 }
 
 /// Grid pitch for hierarchical placements: far enough apart that no
@@ -450,6 +495,22 @@ mod tests {
             let lib =
                 Library::from_cif_text(&cif).unwrap_or_else(|e| panic!("{}: {e}\n{cif}", s.name()));
             assert!(lib.instantiated_box_count() > 0, "{}", s.name());
+        }
+    }
+
+    #[test]
+    fn looped_diffusion_is_one_capacitor() {
+        for seed in 0..16 {
+            let lib = Library::from_cif_text(&looped_cif(seed)).unwrap();
+            let e = ace_core::extract_library(&lib, "loop", ace_core::ExtractOptions::new());
+            let kinds: Vec<_> = e
+                .unwrap()
+                .netlist
+                .devices()
+                .iter()
+                .map(|d| d.kind)
+                .collect();
+            assert_eq!(kinds, [ace_wirelist::DeviceKind::Capacitor], "seed {seed}");
         }
     }
 

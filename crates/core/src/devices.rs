@@ -1,5 +1,5 @@
 use ace_geom::{Coord, Rect};
-use ace_wirelist::{Device, DeviceKind, NetId, UnionFind};
+use ace_wirelist::{Device, PartialDevice, UnionFind};
 
 use crate::nets::NetTable;
 
@@ -38,24 +38,6 @@ impl DeviceAccumulator {
         self.terminals.append(&mut other.terminals);
         self.depletion |= other.depletion;
         self.geometry.append(&mut other.geometry);
-    }
-
-    /// Coalesces terminal entries that now share a net root.
-    pub fn normalize_terminals(&mut self, nets: &mut NetTable) {
-        for entry in &mut self.terminals {
-            entry.0 = nets.find(entry.0);
-        }
-        self.terminals.sort_unstable_by_key(|&(h, _)| h);
-        let mut write = 0;
-        for read in 0..self.terminals.len() {
-            if write > 0 && self.terminals[write - 1].0 == self.terminals[read].0 {
-                self.terminals[write - 1].1 += self.terminals[read].1;
-            } else {
-                self.terminals[write] = self.terminals[read];
-                write += 1;
-            }
-        }
-        self.terminals.truncate(write);
     }
 }
 
@@ -194,111 +176,55 @@ impl DeviceTable {
         roots
     }
 
-    /// Finalizes one device into a wirelist [`Device`].
-    ///
-    /// Width is the mean of the two largest terminal contact lengths
-    /// ("the width of the transistor is … the mean of the source and
-    /// drain edge lengths"), and length is channel area over width.
-    /// Devices with fewer than two distinct terminals become
-    /// capacitors. Returns `None` for a degenerate zero-area channel,
-    /// and sets `multi_terminal` when more than two distinct nets
-    /// touch the channel. The normalized accumulator is returned
-    /// alongside the device for window-mode consumers.
+    /// Finalizes one device into a wirelist [`Device`] through
+    /// [`PartialDevice::finalize`], the one width/length rule, over its
+    /// terminals' net roots. Returns `None` for a degenerate zero-area
+    /// channel, and sets `multi_terminal` when more than two distinct
+    /// nets touch the channel. The channel, in dense net ids with its
+    /// terminals coalesced and longest first, is returned alongside the
+    /// device for window-mode consumers.
     pub fn finalize(
         &mut self,
         h: u32,
         nets: &mut NetTable,
         net_map: &[u32],
         multi_terminal: &mut bool,
-    ) -> Option<(Device, DeviceAccumulator)> {
+    ) -> Option<(Device, PartialDevice)> {
         let root = self.uf.find(h) as usize;
         let mut acc = std::mem::take(&mut self.accum[root]);
-        acc.normalize_terminals(nets);
         if acc.area == 0 {
             return None;
         }
-        let bbox = acc.bbox.expect("non-zero area implies bbox");
-
-        // Sort terminals by contact length, largest first.
-        acc.terminals.sort_unstable_by_key(|&(_, len)| -len);
-        *multi_terminal = acc.terminals.len() > 2;
-
-        let gate_handle = acc.gate.unwrap_or_else(|| {
-            // A channel with no poly cannot occur (channel = diff∧poly)
-            // but guard with a fresh floating net.
-            nets.fresh()
-        });
-        let gate = NetId(net_map[nets.find(gate_handle) as usize]);
-
-        let (kind, source, drain, width) = match acc.terminals.len() {
-            0 => {
-                // Fully isolated channel: a capacitor to nowhere;
-                // report gate on both plates.
-                let side = integer_sqrt(acc.area);
-                (DeviceKind::Capacitor, gate, gate, side.max(1))
-            }
-            1 => {
-                let (net, len) = acc.terminals[0];
-                let n = NetId(net_map[nets.find(net) as usize]);
-                (DeviceKind::Capacitor, n, n, len.max(1))
-            }
-            _ => {
-                let (s_net, s_len) = acc.terminals[0];
-                let (d_net, d_len) = acc.terminals[1];
-                let s = NetId(net_map[nets.find(s_net) as usize]);
-                let d = NetId(net_map[nets.find(d_net) as usize]);
-                let kind = if acc.depletion {
-                    DeviceKind::Depletion
-                } else {
-                    DeviceKind::Enhancement
-                };
-                (kind, s, d, ((s_len + d_len) / 2).max(0))
-            }
+        for entry in &mut acc.terminals {
+            entry.0 = nets.find(entry.0);
+        }
+        let mut channel = PartialDevice {
+            area: acc.area,
+            bbox: acc.bbox.expect("non-zero area implies bbox"),
+            depletion: acc.depletion,
+            gate: acc.gate.expect("a channel lies under poly"),
+            terminals: std::mem::take(&mut acc.terminals),
         };
-
-        // `add_terminal_contact` drops zero-length edges, so a zero
-        // width cannot arise from the sweep itself — but guard the
-        // division anyway and emit the 0×0 degenerate marker
-        // (`ace_wirelist::DeviceDim::Degenerate`) rather than an
-        // ∞-style length.
-        let length = if width > 0 {
-            (acc.area / width).max(1)
-        } else {
-            0
-        };
-        let device = Device {
-            kind,
-            gate,
-            source,
-            drain,
-            length,
-            width,
-            location: ace_geom::Point::new(bbox.x_min, bbox.y_max),
-            channel_geometry: ace_geom::merge_boxes(&acc.geometry),
-        };
-        Some((device, acc))
+        let mut device = channel.finalize();
+        *multi_terminal = channel.terminals.len() > 2;
+        let mut dense = |h: u32| net_map[nets.find(h) as usize];
+        channel.gate = dense(channel.gate);
+        for t in &mut channel.terminals {
+            t.0 = dense(t.0);
+        }
+        for net in [&mut device.gate, &mut device.source, &mut device.drain] {
+            net.0 = dense(net.0);
+        }
+        device.channel_geometry = ace_geom::merge_boxes(&acc.geometry);
+        Some((device, channel))
     }
-}
-
-/// Integer square root (floor).
-fn integer_sqrt(v: i64) -> i64 {
-    if v <= 0 {
-        return 0;
-    }
-    let mut x = (v as f64).sqrt() as i64;
-    while (x + 1) * (x + 1) <= v {
-        x += 1;
-    }
-    while x * x > v {
-        x -= 1;
-    }
-    x
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ace_geom::Point;
+    use ace_wirelist::DeviceKind;
 
     #[test]
     fn simple_transistor_dimensions() {
@@ -437,13 +363,5 @@ mod tests {
             .expect("device");
         assert_eq!(dev.kind, DeviceKind::Capacitor);
         assert_eq!(dev.length * dev.width, 100);
-    }
-
-    #[test]
-    fn integer_sqrt_basics() {
-        assert_eq!(integer_sqrt(0), 0);
-        assert_eq!(integer_sqrt(1), 1);
-        assert_eq!(integer_sqrt(99), 9);
-        assert_eq!(integer_sqrt(100), 10);
     }
 }

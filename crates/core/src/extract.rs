@@ -543,7 +543,7 @@ mod tests {
             .iter()
             .any(|c| matches!(c.signal, BoundarySignal::Channel(_))));
         // The device is marked partial.
-        assert_eq!(w.partial_device_indexes().len(), 1);
+        assert_eq!(w.device_details.iter().filter(|d| d.partial).count(), 1);
         // Poly reaches both left and right faces.
         let left = w.face_contacts(Face::Left);
         assert!(left.iter().any(|c| c.layer == Some(Layer::Poly)));
@@ -560,10 +560,10 @@ mod tests {
         let w = r.window.as_ref().unwrap();
         assert_eq!(w.device_details.len(), r.netlist.device_count());
         let detail = &w.device_details[0];
-        assert_eq!(detail.area, 400 * 400);
+        assert_eq!(detail.channel.area, 400 * 400);
         assert!(!detail.partial);
-        assert_eq!(detail.terminals.len(), 2);
-        assert_eq!(detail.gate, r.netlist.devices()[0].gate);
+        assert_eq!(detail.channel.terminals.len(), 2);
+        assert_eq!(detail.channel.gate, r.netlist.devices()[0].gate.0);
     }
 
     #[test]

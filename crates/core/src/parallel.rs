@@ -23,10 +23,11 @@
 //! 2. net ↔ net on the same layer is an equivalence; channel ↔
 //!    channel merges two fragments of one device; channel ↔ diffusion
 //!    adds a terminal contact with the overlap as its edge length;
-//! 3. merged partial transistors are re-finalized with the flat
-//!    extractor's width/length rules ([`PartialDevice::finalize`]).
+//! 3. every device, merged or whole, is finalized again over the
+//!    stitched nets with the flat extractor's width/length rules
+//!    ([`PartialDevice::finalize`]): a channel's two diffusion sides
+//!    can be separate nets in its band and join only in another one.
 
-use std::collections::HashMap;
 use std::sync::Mutex;
 
 use ace_geom::{merge_boxes, Coord, Layer, Point, Rect};
@@ -221,14 +222,20 @@ fn banded(
     })
 }
 
-/// Global ids for one band: nets are offset into one shared space.
+/// Global ids for one band: its nets and its devices are offset into
+/// two shared spaces.
 struct BandSpace {
-    offset: u32,
+    nets: u32,
+    devices: u32,
 }
 
 impl BandSpace {
     fn net(&self, id: NetId) -> u32 {
-        self.offset + id.0
+        self.nets + id.0
+    }
+
+    fn device(&self, index: usize) -> u32 {
+        self.devices + index as u32
     }
 }
 
@@ -247,47 +254,43 @@ pub(crate) fn stitch(
 
     let spaces: Vec<BandSpace> = results
         .iter()
-        .scan(0u32, |acc, r| {
-            let offset = *acc;
-            *acc += r.netlist.net_count() as u32;
-            Some(BandSpace { offset })
+        .scan((0u32, 0u32), |(nets, devices), r| {
+            let space = BandSpace {
+                nets: *nets,
+                devices: *devices,
+            };
+            *nets += r.netlist.net_count() as u32;
+            *devices += r.netlist.device_count() as u32;
+            Some(space)
         })
         .collect();
-    let total_nets: usize = results.iter().map(|r| r.netlist.net_count()).sum();
-    let mut net_uf = UnionFind::with_len(total_nets);
+    let mut net_uf = UnionFind::with_len(results.iter().map(|r| r.netlist.net_count()).sum());
 
-    // Register every partial device (channel touching a seam) as a
-    // PartialDevice with nets in the global space; whole devices are
-    // copied through untouched further down.
-    let mut partial_ids: HashMap<(usize, usize), u32> = HashMap::new();
-    let mut partials: Vec<PartialDevice> = Vec::new();
-    let mut partial_geometry: Vec<Vec<Rect>> = Vec::new();
+    // Register every band device as a PartialDevice with nets in the
+    // global space. Even a channel that never touches a seam is
+    // finalized again below: its two diffusion sides may be separate
+    // nets in its band and join only through another band.
+    let mut channels: Vec<PartialDevice> = Vec::new();
+    let mut channel_geometry: Vec<Vec<Rect>> = Vec::new();
+    let mut seam_partials = 0u64;
     for (bi, r) in results.iter().enumerate() {
-        let w = band_window(r);
-        for (di, detail) in w.device_details.iter().enumerate() {
-            if !detail.partial {
-                continue;
+        let details = &band_window(r).device_details;
+        for (detail, device) in details.iter().zip(r.netlist.devices()) {
+            seam_partials += u64::from(detail.partial);
+            let mut channel = detail.channel.clone();
+            channel.gate += spaces[bi].nets;
+            for t in &mut channel.terminals {
+                t.0 += spaces[bi].nets;
             }
-            partial_ids.insert((bi, di), partials.len() as u32);
-            partials.push(PartialDevice {
-                area: detail.area,
-                bbox: detail.bbox,
-                depletion: detail.depletion,
-                gate: spaces[bi].net(detail.gate),
-                terminals: detail
-                    .terminals
-                    .iter()
-                    .map(|&(net, len)| (spaces[bi].net(net), len))
-                    .collect(),
-            });
-            partial_geometry.push(if options.geometry_output {
-                r.netlist.devices()[di].channel_geometry.clone()
+            channels.push(channel);
+            channel_geometry.push(if options.geometry_output {
+                device.channel_geometry.clone()
             } else {
                 Vec::new()
             });
         }
     }
-    let mut dev_uf = UnionFind::with_len(partials.len());
+    let mut dev_uf = UnionFind::with_len(channels.len());
 
     // Step 1+2 of HEXT's compose, specialized to horizontal seams:
     // match the band below's Top contacts against the band above's
@@ -325,7 +328,7 @@ pub(crate) fn stitch(
                         }
                     }
                     (BoundarySignal::Channel(a), BoundarySignal::Channel(b)) => {
-                        let (pa, pb) = (partial_ids[&(s, a)], partial_ids[&(s + 1, b)]);
+                        let (pa, pb) = (spaces[s].device(a), spaces[s + 1].device(b));
                         if dev_uf.find(pa) != dev_uf.find(pb) {
                             stats.device_merges += 1;
                         }
@@ -336,14 +339,14 @@ pub(crate) fn stitch(
                         // is a transistor terminal; poly and metal
                         // continue via their own net contacts.
                         if tb.layer == Some(Layer::Diffusion) {
-                            let p = partial_ids[&(s, k)];
+                            let p = spaces[s].device(k);
                             contact_additions.push((p, spaces[s + 1].net(net), overlap));
                             stats.terminal_contacts += 1;
                         }
                     }
                     (BoundarySignal::Net(net), BoundarySignal::Channel(k)) => {
                         if ta.layer == Some(Layer::Diffusion) {
-                            let p = partial_ids[&(s + 1, k)];
+                            let p = spaces[s + 1].device(k);
                             contact_additions.push((p, spaces[s].net(net), overlap));
                             stats.terminal_contacts += 1;
                         }
@@ -354,11 +357,11 @@ pub(crate) fn stitch(
     }
 
     // Gates of merged channel fragments carry the same signal.
-    for i in 0..partials.len() as u32 {
+    for i in 0..channels.len() as u32 {
         let root = dev_uf.find(i);
         if root != i {
-            let ga = partials[root as usize].gate;
-            let gb = partials[i as usize].gate;
+            let ga = channels[root as usize].gate;
+            let gb = channels[i as usize].gate;
             if net_uf.find(ga) != net_uf.find(gb) {
                 stats.net_unions += 1;
             }
@@ -367,17 +370,15 @@ pub(crate) fn stitch(
     }
     for &(p, net, len) in &contact_additions {
         let root = dev_uf.find(p) as usize;
-        partials[root].terminals.push((net, len));
+        channels[root].terminals.push((net, len));
     }
-    for i in 0..partials.len() as u32 {
+    for i in 0..channels.len() as u32 {
         let root = dev_uf.find(i);
         if root != i {
-            let absorbed = partials[i as usize].clone();
-            partials[root as usize].absorb(&absorbed);
-            if options.geometry_output {
-                let geometry = partial_geometry[i as usize].clone();
-                partial_geometry[root as usize].extend(geometry);
-            }
+            let absorbed = std::mem::take(&mut channels[i as usize]);
+            channels[root as usize].absorb(&absorbed);
+            let geometry = std::mem::take(&mut channel_geometry[i as usize]);
+            channel_geometry[root as usize].extend(geometry);
         }
     }
 
@@ -446,39 +447,22 @@ pub(crate) fn stitch(
         netlist.add_name(NetId(net_map[net as usize]), name);
     }
 
-    // Whole devices copy through with remapped nets; merged partials
-    // are re-finalized with the flat extractor's rules.
-    let mut devices: Vec<Device> = Vec::new();
-    for (bi, r) in results.iter().enumerate() {
-        let w = band_window(r);
-        for (di, device) in r.netlist.devices().iter().enumerate() {
-            if w.device_details[di].partial {
-                continue;
-            }
-            let mut device = device.clone();
-            device.gate = NetId(net_map[spaces[bi].net(device.gate) as usize]);
-            device.source = NetId(net_map[spaces[bi].net(device.source) as usize]);
-            device.drain = NetId(net_map[spaces[bi].net(device.drain) as usize]);
-            if !options.geometry_output {
-                // Window mode forces channel recording in the bands.
-                device.channel_geometry = Vec::new();
-            }
-            devices.push(device);
-        }
-    }
-    for i in 0..partials.len() as u32 {
-        if dev_uf.find(i) != i {
+    // Every completed device, merged or whole, is finalized with the
+    // flat extractor's rules over its remapped nets. Only channels
+    // touching a seam merge, so each merge completes one partial less.
+    stats.partials_completed = seam_partials - stats.device_merges;
+    let mut devices: Vec<Device> = Vec::with_capacity(channels.len());
+    for (i, (mut channel, geometry)) in channels.into_iter().zip(channel_geometry).enumerate() {
+        if dev_uf.find(i as u32) != i as u32 {
             continue;
         }
-        stats.partials_completed += 1;
-        let mut partial = partials[i as usize].clone();
-        partial.gate = net_map[partial.gate as usize];
-        for t in &mut partial.terminals {
+        channel.gate = net_map[channel.gate as usize];
+        for t in &mut channel.terminals {
             t.0 = net_map[t.0 as usize];
         }
-        let mut device = partial.finalize();
+        let mut device = channel.finalize();
         if options.geometry_output {
-            device.channel_geometry = merge_boxes(&partial_geometry[i as usize]);
+            device.channel_geometry = merge_boxes(&geometry);
         }
         devices.push(device);
     }

@@ -60,14 +60,15 @@ pub struct ExtractOptions {
     /// it, in `ace_lint`); this flag is honored by `ace_lint`'s
     /// `extract_*_linted` wrappers and the `acelint` CLI, which fold
     /// the pass's `LintsEmitted` / `LintTimeNs` counters back into
-    /// [`ExtractionReport`].
+    /// the [`ExtractionReport`] they return.
     pub lints: bool,
     /// Request a geometric DRC pass over the flat mask geometry. Like
     /// [`lints`](Self::lints), the extractor itself never checks
     /// design rules (the checker lives above it, in `ace_drc`); this
     /// flag is honored by `ace_drc::check_extraction` and the
-    /// `acedrc` CLI, which fold the pass's `DrcViolations` /
-    /// `DrcTimeNs` counters back into [`ExtractionReport`].
+    /// `acedrc` CLI, which report the pass's `DrcViolations` /
+    /// `DrcTimeNs` counters to the probe; a `CounterProbe`'s
+    /// [`ExtractionReport`] view carries them.
     pub drc: bool,
 }
 

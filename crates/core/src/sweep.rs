@@ -681,7 +681,7 @@ impl<'p> Extractor<'p> {
         let mut details = Vec::new();
         for root in self.devices.roots() {
             let mut multi = false;
-            let Some((device, acc)) =
+            let Some((device, channel)) =
                 self.devices
                     .finalize(root, &mut self.nets, &net_map, &mut multi)
             else {
@@ -694,15 +694,7 @@ impl<'p> Extractor<'p> {
             device_index_by_root.insert(root, index);
             if self.options.window.is_some() {
                 details.push(DeviceDetail {
-                    area: acc.area,
-                    bbox: acc.bbox.expect("finalized device has bbox"),
-                    depletion: acc.depletion,
-                    terminals: acc
-                        .terminals
-                        .iter()
-                        .map(|&(h, len)| (NetId(net_map[self.nets.find(h) as usize]), len))
-                        .collect(),
-                    gate: device.gate,
+                    channel,
                     partial: partial_roots.contains(&root),
                 });
             }

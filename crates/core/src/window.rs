@@ -1,5 +1,5 @@
-use ace_geom::{Coord, Interval, Layer, Rect};
-use ace_wirelist::NetId;
+use ace_geom::{Interval, Layer, Rect};
+use ace_wirelist::{NetId, PartialDevice};
 
 /// A face of a rectangular window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -57,22 +57,14 @@ pub struct BoundaryContact {
     pub signal: BoundarySignal,
 }
 
-/// Raw per-device accumulator data exposed in window mode so the
-/// hierarchical extractor can merge partial transistors and recompute
-/// length/width after composition.
+/// Per-device channel data exposed in window mode, so the band stitch
+/// and the hierarchical extractor can merge partial transistors and
+/// finalize them again after composition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceDetail {
-    /// Total channel area inside this window.
-    pub area: i64,
-    /// Channel bounding box.
-    pub bbox: Rect,
-    /// `true` if implant was seen over the channel.
-    pub depletion: bool,
-    /// Diffusion terminal contacts `(net, edge length)` inside the
-    /// window.
-    pub terminals: Vec<(NetId, Coord)>,
-    /// Gate net.
-    pub gate: NetId,
+    /// The channel inside this window, in the window netlist's net
+    /// ids, terminals coalesced and longest first.
+    pub channel: PartialDevice,
     /// `true` if the channel touches the window boundary (a partial
     /// transistor whose final form depends on the neighbours).
     pub partial: bool,
@@ -104,22 +96,11 @@ impl WindowExtraction {
         v.sort_by_key(|c| (c.span.lo, c.span.hi));
         v
     }
-
-    /// Indexes of devices whose channel touches the boundary.
-    pub fn partial_device_indexes(&self) -> Vec<usize> {
-        self.device_details
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.partial)
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ace_geom::Point;
 
     #[test]
     fn opposite_faces() {
@@ -155,19 +136,17 @@ mod tests {
                 },
             ],
             device_details: vec![DeviceDetail {
-                area: 4,
-                bbox: Rect::new(10, 90, 20, 100),
-                depletion: false,
-                terminals: vec![],
-                gate: NetId(0),
+                channel: PartialDevice {
+                    area: 4,
+                    bbox: Rect::new(10, 90, 20, 100),
+                    ..PartialDevice::default()
+                },
                 partial: true,
             }],
         };
         let top = w.face_contacts(Face::Top);
         assert_eq!(top.len(), 2);
         assert_eq!(top[0].span, Interval::new(10, 20));
-        assert_eq!(w.partial_device_indexes(), vec![0]);
-        // Silence unused warnings for Point import path consistency.
-        let _ = Point::ORIGIN;
+        assert!(w.device_details[0].partial);
     }
 }

@@ -8,8 +8,8 @@
 //!   a [`LintConfig`]'s severity overrides applied.
 //! * [`check_extraction`] — timed and reported: bumps the
 //!   [`Counter::DrcViolations`] / [`Counter::DrcTimeNs`] probe
-//!   counters and folds both into the extraction's
-//!   [`ace_core::ExtractionReport`].
+//!   counters, which a [`ace_core::CounterProbe`]'s report view
+//!   carries as `drc_violations` / `drc_time`.
 //!
 //! Every check reduces each layer to its *canonical cover* (the
 //! decomposition-invariant maximal-strip form of
@@ -19,7 +19,6 @@
 
 use std::time::Instant;
 
-use ace_core::Extraction;
 use ace_geom::{intersect_boxes, merge_boxes, subtract_boxes, Coord, Layer, LayerMap, Rect};
 use ace_layout::probe::{Counter, Lane, Probe};
 use ace_layout::FlatLayout;
@@ -355,11 +354,10 @@ pub fn check(layout: &FlatLayout, deck: &RuleDeck, config: &LintConfig) -> Vec<D
     diags
 }
 
-/// [`check`] for an existing extraction: times the pass, bumps the
+/// [`check`] as an extraction's DRC pass: times the pass and bumps the
 /// [`Counter::DrcViolations`] / [`Counter::DrcTimeNs`] probe counters
-/// on [`Lane::MAIN`], and folds both into the extraction's report.
+/// on [`Lane::MAIN`].
 pub fn check_extraction(
-    extraction: &mut Extraction,
     layout: &FlatLayout,
     deck: &RuleDeck,
     config: &LintConfig,
@@ -370,8 +368,6 @@ pub fn check_extraction(
     let elapsed = start.elapsed();
     probe.add(Lane::MAIN, Counter::DrcViolations, diagnostics.len() as u64);
     probe.add(Lane::MAIN, Counter::DrcTimeNs, elapsed.as_nanos() as u64);
-    extraction.report.drc_violations += diagnostics.len() as u64;
-    extraction.report.drc_time += elapsed;
     diagnostics
 }
 

@@ -144,13 +144,7 @@ pub fn window_circuit_from_extraction(
         let detail = &window.device_details[i];
         if detail.partial {
             partial_index[i] = Some(partials.len() as u32);
-            partials.push(PartialDevice {
-                area: detail.area,
-                bbox: detail.bbox,
-                depletion: detail.depletion,
-                gate: detail.gate.0,
-                terminals: detail.terminals.iter().map(|&(n, l)| (n.0, l)).collect(),
-            });
+            partials.push(detail.channel.clone());
         } else {
             part.devices.push(device.clone());
         }

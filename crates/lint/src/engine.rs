@@ -5,10 +5,9 @@
 //!
 //! * [`lint`] — pure function from `(netlist, layout, config)` to a
 //!   sorted diagnostic list.
-//! * [`lint_extraction`] — the same, but timed and reported: bumps
-//!   the [`Counter::LintsEmitted`] / [`Counter::LintTimeNs`] probe
-//!   counters and folds both into the extraction's
-//!   [`ace_core::ExtractionReport`].
+//! * [`lint_extraction`] — the same over an extraction, but timed
+//!   and reported: bumps the [`Counter::LintsEmitted`] /
+//!   [`Counter::LintTimeNs`] probe counters.
 //! * [`extract_library_linted`] / [`extract_text_linted`] — extract
 //!   then lint in one call, honouring
 //!   [`ace_core::ExtractOptions::lints`].
@@ -16,7 +15,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
-use ace_core::{extract_library_probed, ExtractError, ExtractOptions, Extraction};
+use ace_core::{extract_library_probed, CounterProbe, ExtractError, ExtractOptions, Extraction};
 use ace_geom::{Layer, LayerMap, Point, Rect};
 use ace_layout::probe::{Counter, Lane, Probe};
 use ace_layout::{FlatLayout, Library, NullProbe};
@@ -431,10 +430,9 @@ pub struct Linted {
 
 /// Lints an existing extraction, timing the pass and recording it:
 /// the probe receives [`Counter::LintsEmitted`] and
-/// [`Counter::LintTimeNs`] on [`Lane::MAIN`], and the extraction's
-/// report gains the same numbers in `lints_emitted` / `lint_time`.
+/// [`Counter::LintTimeNs`] on [`Lane::MAIN`].
 pub fn lint_extraction(
-    extraction: &mut Extraction,
+    extraction: &Extraction,
     layout: &FlatLayout,
     config: &LintConfig,
     probe: &dyn Probe,
@@ -444,14 +442,13 @@ pub fn lint_extraction(
     let elapsed = start.elapsed();
     probe.add(Lane::MAIN, Counter::LintsEmitted, diagnostics.len() as u64);
     probe.add(Lane::MAIN, Counter::LintTimeNs, elapsed.as_nanos() as u64);
-    extraction.report.lints_emitted += diagnostics.len() as u64;
-    extraction.report.lint_time += elapsed;
     diagnostics
 }
 
 /// Extracts `name` from `lib`, then lints when
 /// [`ExtractOptions::lints`] is set (see
-/// [`ExtractOptions::with_lints`]).
+/// [`ExtractOptions::with_lints`]). The returned report carries the
+/// lint pass's `lints_emitted` and `lint_time`.
 pub fn extract_library_linted(
     lib: &Library,
     name: &str,
@@ -462,7 +459,12 @@ pub fn extract_library_linted(
     let mut extraction = extract_library_probed(lib, name, options, probe)?;
     let diagnostics = if options.lints {
         let layout = FlatLayout::from_library(lib);
-        lint_extraction(&mut extraction, &layout, config, probe)
+        let counters = CounterProbe::new();
+        let diagnostics = lint_extraction(&extraction, &layout, config, &(&counters, probe));
+        let lint = counters.report();
+        (extraction.report.lints_emitted, extraction.report.lint_time) =
+            (lint.lints_emitted, lint.lint_time);
+        diagnostics
     } else {
         Vec::new()
     };

@@ -616,12 +616,12 @@ impl Daemon {
                 let wirelist = write_wirelist(&extraction.netlist, WirelistOptions::new());
                 let report = WireReport::from_report(&probe.take_report());
                 let layout = write.extractor.layout().clone();
-                state.set_snapshot(Arc::new(Snapshot::new(
-                    wirelist.clone(),
+                state.set_snapshot(Arc::new(Snapshot {
+                    wirelist: wirelist.clone(),
                     report,
-                    extraction,
                     layout,
-                )));
+                    extraction,
+                }));
                 Response::Extracted(ExtractResult { wirelist, report })
             }
             Err(e) => {
@@ -646,14 +646,10 @@ impl Daemon {
                 wirelist: snap.wirelist.clone(),
                 report: snap.report,
             }),
-            Request::QueryNet { net, .. } => {
-                let extraction = snap.lock_extraction();
-                Response::Net(net_info(&extraction.netlist, net))
-            }
+            Request::QueryNet { net, .. } => Response::Net(net_info(&snap.extraction.netlist, net)),
             Request::Lint { config, .. } => {
                 let probe = CounterProbe::new();
-                let mut extraction = snap.lock_extraction();
-                let diagnostics = lint_extraction(&mut extraction, &snap.layout, &config, &probe);
+                let diagnostics = lint_extraction(&snap.extraction, &snap.layout, &config, &probe);
                 let report = WireReport::from_report(&probe.take_report());
                 Response::Linted {
                     diagnostics: diagnostics.iter().map(WireDiagnostic::from).collect(),
@@ -674,14 +670,7 @@ impl Daemon {
                     },
                 };
                 let probe = CounterProbe::new();
-                let mut extraction = snap.lock_extraction();
-                let diagnostics = ace_drc::check_extraction(
-                    &mut extraction,
-                    &snap.layout,
-                    &deck,
-                    &config,
-                    &probe,
-                );
+                let diagnostics = ace_drc::check_extraction(&snap.layout, &deck, &config, &probe);
                 let report = WireReport::from_report(&probe.take_report());
                 Response::DrcChecked {
                     diagnostics: diagnostics.iter().map(WireDiagnostic::from).collect(),
@@ -793,7 +782,12 @@ impl Daemon {
                 let wirelist = write_wirelist(&extraction.netlist, WirelistOptions::new());
                 let report = WireReport::from_report(&probe.take_report());
                 let layout = write.extractor.layout().clone();
-                let snap = Arc::new(Snapshot::new(wirelist, report, extraction, layout));
+                let snap = Arc::new(Snapshot {
+                    wirelist,
+                    report,
+                    layout,
+                    extraction,
+                });
                 state.set_snapshot(Arc::clone(&snap));
                 snap
             });

@@ -66,38 +66,9 @@ pub struct Snapshot {
     pub report: WireReport,
     /// The layout the snapshot was extracted from (lint needs it).
     pub layout: FlatLayout,
-    /// The extraction itself, for `query-net` and `lint`. Behind its
-    /// own mutex because lint accumulates into `extraction.report`;
-    /// readers of one session serialize briefly here, never against
-    /// the write half.
-    extraction: Mutex<Extraction>,
-}
-
-impl Snapshot {
-    /// Packages one completed extraction for shared reads.
-    pub fn new(
-        wirelist: String,
-        report: WireReport,
-        extraction: Extraction,
-        layout: FlatLayout,
-    ) -> Snapshot {
-        Snapshot {
-            wirelist,
-            report,
-            layout,
-            extraction: Mutex::new(extraction),
-        }
-    }
-
-    /// Locks the snapshot's extraction. Poisoning is harmless here —
-    /// the extraction is only ever mutated by lint's report
-    /// accumulation — so a poisoned guard is recovered, not
-    /// propagated.
-    pub fn lock_extraction(&self) -> MutexGuard<'_, Extraction> {
-        self.extraction
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
+    /// The extraction itself, for `query-net`, `lint` and `drc`.
+    /// Readers share it without a lock.
+    pub extraction: Extraction,
 }
 
 /// One queued `edit-diff`, parked by a connection thread until a
@@ -503,15 +474,15 @@ mod tests {
         let mut ex = small_extractor();
         let extraction = ex.extract("snap").expect("extracts");
         let layout = ex.layout().clone();
-        state.set_snapshot(Arc::new(Snapshot::new(
-            "wl".into(),
-            WireReport::default(),
-            extraction,
+        state.set_snapshot(Arc::new(Snapshot {
+            wirelist: "wl".into(),
+            report: WireReport::default(),
             layout,
-        )));
+            extraction,
+        }));
         let snap = state.snapshot().expect("published");
         assert_eq!(snap.wirelist, "wl");
-        assert!(snap.lock_extraction().netlist.nets().count() > 0);
+        assert!(snap.extraction.netlist.nets().count() > 0);
         state.clear_snapshot();
         assert!(state.snapshot().is_none(), "invalidated");
     }

@@ -64,8 +64,8 @@ fn daemon_extract_lint_and_query_match_in_process_results() {
     let config = LintConfig::new();
     let (wire_diags, report) = client.lint("chain", &config).expect("lint");
     let mut oracle = in_process(&cif);
-    let mut extraction = oracle.extract("aced").expect("oracle extracts");
-    let oracle_diags = lint_extraction(&mut extraction, oracle.layout(), &config, &NullProbe);
+    let extraction = oracle.extract("aced").expect("oracle extracts");
+    let oracle_diags = lint_extraction(&extraction, oracle.layout(), &config, &NullProbe);
     assert_eq!(wire_diags.len(), oracle_diags.len());
     for (wire_d, oracle_d) in wire_diags.iter().zip(&oracle_diags) {
         assert_eq!(wire_d.rendered, oracle_d.render());

@@ -11,10 +11,13 @@
 //!
 //! * [`same_circuit`] — exact matching keyed by device location.
 //!   Devices extracted from the same layout land at the same channel
-//!   coordinates, so the net correspondence is forced and any
-//!   discrepancy is reported precisely. Source/drain are treated as
-//!   interchangeable (a MOS transistor is symmetric, and the two
-//!   extractors may label the diffusion terminals in either order).
+//!   coordinates, so each device is matched by its key (location,
+//!   kind, L, W), and each net by the terminals it carries: its
+//!   `(device, role)` pairs, where the role is gate or source/drain
+//!   (a MOS transistor is symmetric, and two extractors may label its
+//!   diffusion terminals in either order). Comparing the two sorted
+//!   lists of nets is O(N log N), needs no search, and is exact when
+//!   device keys are unique.
 //! * [`structural_signature`] — a location-independent canonical hash
 //!   via iterative partition refinement (the classic
 //!   netlist-isomorphism heuristic). Equal signatures strongly
@@ -34,7 +37,9 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 
-use crate::model::{NetId, Netlist};
+use ace_geom::{Coord, Point};
+
+use crate::model::{Device, DeviceKind, NetId, Netlist};
 
 /// A discrepancy found by [`same_circuit`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,6 +90,15 @@ impl Error for CircuitDiff {}
 /// Checks that two netlists describe the same circuit, matching
 /// devices by channel location.
 ///
+/// Devices are sorted by key (location, kind, L, W) and must agree key
+/// for key. Each net that carries a terminal is then described by its
+/// sorted `(device rank, role)` pairs, the role being gate or
+/// source/drain, and by the sorted names it shares with the other
+/// netlist. The circuits are equal if and only if the two sorted lists
+/// of nets are equal. That is exact when keys are unique; devices that
+/// share a key share a rank, so the partition is then necessary but
+/// not a proof, and the two [`structural_signature`]s must agree too.
+///
 /// # Errors
 ///
 /// Returns the first [`CircuitDiff`] found.
@@ -123,177 +137,139 @@ pub fn same_circuit(left: &Netlist, right: &Netlist) -> Result<(), CircuitDiff> 
         });
     }
 
-    let sort_key = |nl: &Netlist| {
-        let mut order: Vec<usize> = (0..nl.device_count()).collect();
-        order.sort_by_key(|&i| {
-            let d = &nl.devices()[i];
-            (d.location, d.kind, d.length, d.width)
-        });
-        order
-    };
-    let lo = sort_key(left);
-    let ro = sort_key(right);
-
-    // Forced net correspondence, built terminal by terminal.
-    let mut l2r: HashMap<NetId, NetId> = HashMap::new();
-    let mut r2l: HashMap<NetId, NetId> = HashMap::new();
-    fn bind(
-        l2r: &mut HashMap<NetId, NetId>,
-        r2l: &mut HashMap<NetId, NetId>,
-        l: NetId,
-        r: NetId,
-        what: &str,
-    ) -> Result<(), CircuitDiff> {
-        if let Some(&prev) = l2r.get(&l) {
-            if prev != r {
-                return Err(CircuitDiff::NetMismatch {
-                    detail: format!("{what}: left {l} maps to both {prev} and {r}"),
-                });
-            }
-        }
-        if let Some(&prev) = r2l.get(&r) {
-            if prev != l {
-                return Err(CircuitDiff::NetMismatch {
-                    detail: format!("{what}: right {r} maps to both {prev} and {l}"),
-                });
-            }
-        }
-        l2r.insert(l, r);
-        r2l.insert(r, l);
-        Ok(())
-    }
-
-    // Canonical net labels let us order the symmetric source/drain
-    // pair the same way on both sides before binding. Net names seed
-    // the labels: when the two diffusion segments of a transistor are
-    // structurally symmetric but one carries a CIF `94` name,
-    // structure alone cannot decide the orientation, and an arbitrary
-    // choice can contradict the name table that is checked below (the
-    // conformance fuzzer found exactly this against the banded
-    // backend, which stitches terminals in the opposite order).
-    let llabel = refinement_labels_seeded(left, true);
-    let rlabel = refinement_labels_seeded(right, true);
-
+    let lo = key_order(left);
+    let ro = key_order(right);
     for (&li, &ri) in lo.iter().zip(&ro) {
-        let mut ld = left.devices()[li].clone();
-        let mut rd = right.devices()[ri].clone();
-        if llabel[ld.source.0 as usize] > llabel[ld.drain.0 as usize] {
-            std::mem::swap(&mut ld.source, &mut ld.drain);
-        }
-        if rlabel[rd.source.0 as usize] > rlabel[rd.drain.0 as usize] {
-            std::mem::swap(&mut rd.source, &mut rd.drain);
-        }
-        if ld.location != rd.location
-            || ld.kind != rd.kind
-            || ld.length != rd.length
-            || ld.width != rd.width
-        {
+        let (ld, rd) = (&left.devices()[li], &right.devices()[ri]);
+        if device_key(ld) != device_key(rd) {
             return Err(CircuitDiff::DeviceMismatch {
-                detail: format!(
-                    "left {:?} {}×{} at {} vs right {:?} {}×{} at {}",
-                    ld.kind,
-                    ld.length,
-                    ld.width,
-                    ld.location,
-                    rd.kind,
-                    rd.length,
-                    rd.width,
-                    rd.location
-                ),
+                detail: format!("left {} vs right {}", device_text(ld), device_text(rd)),
             });
         }
-        let at = format!("device at {}", ld.location);
-        bind(&mut l2r, &mut r2l, ld.gate, rd.gate, &at)?;
-        // Source/drain are symmetric: try direct, then swapped.
-        let direct_ok = l2r.get(&ld.source).is_none_or(|&r| r == rd.source)
-            && l2r.get(&ld.drain).is_none_or(|&r| r == rd.drain)
-            && r2l.get(&rd.source).is_none_or(|&l| l == ld.source)
-            && r2l.get(&rd.drain).is_none_or(|&l| l == ld.drain);
-        if direct_ok {
-            bind(&mut l2r, &mut r2l, ld.source, rd.source, &at)?;
-            bind(&mut l2r, &mut r2l, ld.drain, rd.drain, &at)?;
-        } else {
-            bind(&mut l2r, &mut r2l, ld.source, rd.drain, &at)?;
-            bind(&mut l2r, &mut r2l, ld.drain, rd.source, &at)?;
-        }
     }
 
-    // Names present in both netlists must respect the correspondence.
-    let rnames = right.name_table();
-    for (name, lnet) in left.name_table() {
-        if let (Some(&rnet), Some(&mapped)) = (rnames.get(name), l2r.get(&lnet)) {
-            if rnet != mapped {
-                return Err(CircuitDiff::NameMismatch {
-                    name: name.to_string(),
-                });
+    // The keys agree one for one, so ranks computed on either side
+    // name the same devices.
+    let lnets = terminal_nets(left, &lo, right);
+    let rnets = terminal_nets(right, &ro, left);
+    let differs = |i: usize| lnets.get(i).map(|n| &n.pins) != rnets.get(i).map(|n| &n.pins);
+    if let Some(i) = (0..lnets.len().max(rnets.len())).find(|&i| differs(i)) {
+        // The smaller description at the first difference is the one
+        // the other side lacks.
+        let detail = match rnets.get(i) {
+            Some(r) if lnets.get(i).is_none_or(|l| r.pins < l.pins) => {
+                format!("right {} has no counterpart", describe(r, right, &ro))
             }
-        }
+            _ => format!("left {} has no counterpart", describe(&lnets[i], left, &lo)),
+        };
+        return Err(CircuitDiff::NetMismatch { detail });
+    }
+    if let Some((l, r)) = lnets.iter().zip(&rnets).find(|(l, r)| l.names != r.names) {
+        let name = l
+            .names
+            .iter()
+            .chain(&r.names)
+            .find(|n| !(l.names.contains(n) && r.names.contains(n)))
+            .expect("name lists are deduplicated")
+            .to_string();
+        return Err(CircuitDiff::NameMismatch { name });
+    }
+
+    let tied = lo
+        .windows(2)
+        .any(|w| device_key(&left.devices()[w[0]]) == device_key(&left.devices()[w[1]]));
+    if tied && structural_signature(left) != structural_signature(right) {
+        return Err(CircuitDiff::NetMismatch {
+            detail: "devices share a key, and the structural signatures differ".to_string(),
+        });
     }
     Ok(())
 }
 
-/// Per-net canonical labels via iterative partition refinement.
-/// Isomorphic netlists yield the same label multiset, with
-/// corresponding nets carrying equal labels.
-fn refinement_labels(nl: &Netlist) -> Vec<u64> {
-    refinement_labels_seeded(nl, false)
+/// What [`same_circuit`] matches devices by.
+fn device_key(d: &Device) -> (Point, DeviceKind, Coord, Coord) {
+    (d.location, d.kind, d.length, d.width)
 }
 
-/// [`refinement_labels`] with optional name seeding: when
-/// `seed_names` is set, a net's user names contribute to its initial
-/// label, so nets that are structurally symmetric but differently
-/// named refine apart. [`structural_signature`] must NOT seed names
-/// (it promises name independence); [`same_circuit`] does, because it
-/// enforces name correspondence anyway.
-fn refinement_labels_seeded(nl: &Netlist, seed_names: bool) -> Vec<u64> {
-    let n = nl.net_count();
-    let mut net_label: Vec<u64> = (0..n)
-        .map(|i| {
-            let base = 0x9E37_79B9_7F4A_7C15;
-            if !seed_names {
-                return base;
-            }
-            let names: Vec<u64> = nl
-                .net(NetId(i as u32))
+/// A netlist's device indexes, sorted by key.
+fn key_order(nl: &Netlist) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..nl.device_count()).collect();
+    order.sort_by_key(|&i| device_key(&nl.devices()[i]));
+    order
+}
+
+/// The part a terminal plays on its net. Source and drain share one
+/// role: a MOS transistor is symmetric.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Role {
+    Gate,
+    SourceDrain,
+}
+
+/// A net that carries a terminal, as [`same_circuit`] compares it.
+/// Field order is sort order; `id` only labels messages.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct TerminalNet<'a> {
+    /// Sorted `(device rank, role)` pairs.
+    pins: Vec<(usize, Role)>,
+    /// Sorted, deduplicated user names the other netlist also uses.
+    names: Vec<&'a str>,
+    id: NetId,
+}
+
+/// Every net of `nl` that carries a terminal, sorted. A device's rank
+/// is the position of the first device with its key in `order`, so
+/// devices with equal keys share a rank.
+fn terminal_nets<'a>(nl: &'a Netlist, order: &[usize], other: &Netlist) -> Vec<TerminalNet<'a>> {
+    let devices = nl.devices();
+    let mut rank = vec![0; devices.len()];
+    for (pos, w) in order.windows(2).enumerate() {
+        let tied = device_key(&devices[w[0]]) == device_key(&devices[w[1]]);
+        rank[w[1]] = if tied { rank[w[0]] } else { pos + 1 };
+    }
+    let mut pins: Vec<Vec<(usize, Role)>> = vec![Vec::new(); nl.net_count()];
+    for (d, &r) in devices.iter().zip(&rank) {
+        pins[d.gate.0 as usize].push((r, Role::Gate));
+        pins[d.source.0 as usize].push((r, Role::SourceDrain));
+        pins[d.drain.0 as usize].push((r, Role::SourceDrain));
+    }
+    let shared = other.name_table();
+    let mut nets: Vec<TerminalNet> = pins
+        .into_iter()
+        .zip(nl.nets())
+        .filter(|(pins, _)| !pins.is_empty())
+        .map(|(mut pins, (id, net))| {
+            pins.sort_unstable();
+            let mut names: Vec<&str> = net
                 .names
                 .iter()
-                .map(|s| hash_str(s))
+                .map(String::as_str)
+                .filter(|n| shared.contains_key(n))
                 .collect();
-            if names.is_empty() {
-                base
-            } else {
-                hash_one(&[base, hash_unordered(names)])
-            }
+            names.sort_unstable();
+            names.dedup();
+            TerminalNet { pins, names, id }
         })
         .collect();
-    let mut dev_label: Vec<u64> = nl
-        .devices()
-        .iter()
-        .map(|d| hash_one(&[d.kind as u64, d.length as u64, d.width as u64]))
-        .collect();
+    nets.sort_unstable();
+    nets
+}
 
-    for _round in 0..3 {
-        // Device labels from terminal net labels.
-        for (i, d) in nl.devices().iter().enumerate() {
-            let sd = hash_unordered(vec![
-                net_label[d.source.0 as usize],
-                net_label[d.drain.0 as usize],
-            ]);
-            dev_label[i] = hash_one(&[dev_label[i], net_label[d.gate.0 as usize], sd]);
-        }
-        // Net labels from attached device labels.
-        let mut incidence: Vec<Vec<u64>> = vec![Vec::new(); n];
-        for (i, d) in nl.devices().iter().enumerate() {
-            incidence[d.gate.0 as usize].push(hash_one(&[dev_label[i], 1]));
-            // Source and drain attachments share a role tag.
-            incidence[d.source.0 as usize].push(hash_one(&[dev_label[i], 2]));
-            incidence[d.drain.0 as usize].push(hash_one(&[dev_label[i], 2]));
-        }
-        for (id, inc) in incidence.into_iter().enumerate() {
-            net_label[id] = hash_one(&[net_label[id], hash_unordered(inc)]);
-        }
-    }
-    net_label
+/// A terminal net in words: its id, its first terminal, and how many
+/// it carries.
+fn describe(net: &TerminalNet, nl: &Netlist, order: &[usize]) -> String {
+    let (rank, role) = net.pins[0];
+    let role = if role == Role::Gate {
+        "gate"
+    } else {
+        "source/drain"
+    };
+    let device = device_text(&nl.devices()[order[rank]]);
+    format!(
+        "{} ({role} of {device}; {} terminals)",
+        net.id,
+        net.pins.len()
+    )
 }
 
 /// FNV-1a, used instead of [`std::collections::hash_map::DefaultHasher`]
@@ -326,12 +302,6 @@ fn hash_one(values: &[u64]) -> u64 {
     h.finish()
 }
 
-fn hash_str(s: &str) -> u64 {
-    let mut h = Fnv1a::new();
-    s.hash(&mut h);
-    h.finish()
-}
-
 fn hash_unordered(mut values: Vec<u64>) -> u64 {
     values.sort_unstable();
     hash_one(&values)
@@ -350,19 +320,48 @@ fn hash_unordered(mut values: Vec<u64>) -> u64 {
 /// on highly symmetric graphs) but unequal signatures prove
 /// non-isomorphism.
 pub fn structural_signature(nl: &Netlist) -> u64 {
-    let net_label = refinement_labels(nl);
-    let mut dev_label: Vec<u64> = nl
+    let n = nl.net_count();
+    // A device label refined by its terminal nets' labels, source and
+    // drain unordered.
+    let refine = |label: u64, d: &Device, net_label: &[u64]| {
+        let (s, t) = (
+            net_label[d.source.0 as usize],
+            net_label[d.drain.0 as usize],
+        );
+        hash_one(&[
+            label,
+            net_label[d.gate.0 as usize],
+            hash_unordered(vec![s, t]),
+        ])
+    };
+    let base: Vec<u64> = nl
         .devices()
         .iter()
         .map(|d| hash_one(&[d.kind as u64, d.length as u64, d.width as u64]))
         .collect();
-    for (i, d) in nl.devices().iter().enumerate() {
-        let sd = hash_unordered(vec![
-            net_label[d.source.0 as usize],
-            net_label[d.drain.0 as usize],
-        ]);
-        dev_label[i] = hash_one(&[dev_label[i], net_label[d.gate.0 as usize], sd]);
+    let mut net_label: Vec<u64> = vec![0x9E37_79B9_7F4A_7C15; n];
+    let mut dev_label = base.clone();
+    for _round in 0..3 {
+        for (label, d) in dev_label.iter_mut().zip(nl.devices()) {
+            *label = refine(*label, d, &net_label);
+        }
+        // Net labels from attached device labels.
+        let mut incidence: Vec<Vec<u64>> = vec![Vec::new(); n];
+        for (i, d) in nl.devices().iter().enumerate() {
+            incidence[d.gate.0 as usize].push(hash_one(&[dev_label[i], 1]));
+            // Source and drain attachments share a role tag.
+            incidence[d.source.0 as usize].push(hash_one(&[dev_label[i], 2]));
+            incidence[d.drain.0 as usize].push(hash_one(&[dev_label[i], 2]));
+        }
+        for (id, inc) in incidence.into_iter().enumerate() {
+            net_label[id] = hash_one(&[net_label[id], hash_unordered(inc)]);
+        }
     }
+    let dev_label: Vec<u64> = base
+        .iter()
+        .zip(nl.devices())
+        .map(|(&label, d)| refine(label, d, &net_label))
+        .collect();
 
     // Drop isolated nets: they carry no circuit information.
     let deg = nl.net_degrees();
@@ -424,9 +423,8 @@ impl fmt::Display for MismatchReport {
     }
 }
 
-/// A device's matching key: everything [`same_circuit`] compares
-/// before wiring.
-fn device_key(d: &crate::model::Device) -> String {
+/// A device's matching key in words.
+fn device_text(d: &Device) -> String {
     format!("{:?} {}×{} at {}", d.kind, d.length, d.width, d.location)
 }
 
@@ -465,10 +463,10 @@ pub fn explain_mismatch(left: &Netlist, right: &Netlist) -> Option<MismatchRepor
             // device worth naming.
             let mut census: HashMap<String, i64> = HashMap::new();
             for d in left.devices() {
-                *census.entry(device_key(d)).or_default() += 1;
+                *census.entry(device_text(d)).or_default() += 1;
             }
             for d in right.devices() {
-                *census.entry(device_key(d)).or_default() -= 1;
+                *census.entry(device_text(d)).or_default() -= 1;
             }
             let mut unmatched: Vec<(&str, i64)> = census
                 .iter()
@@ -492,8 +490,9 @@ pub fn explain_mismatch(left: &Netlist, right: &Netlist) -> Option<MismatchRepor
             let _ = writeln!(detail, "conflicting net binding: {d}");
             let _ = writeln!(
                 detail,
-                "(nets are bound device by device in location order; the conflict \
-                 is at the first device whose terminals cannot be reconciled)"
+                "(every device has a counterpart; each net is matched by the devices \
+                 it touches, ranked by location, kind and size, and its role on each: \
+                 gate or source/drain)"
             );
         }
         CircuitDiff::NameMismatch { name } => {
@@ -523,8 +522,6 @@ pub fn explain_mismatch(left: &Netlist, right: &Netlist) -> Option<MismatchRepor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Device, DeviceKind};
-    use ace_geom::Point;
 
     fn inverter_chain(n: usize, reorder: bool) -> Netlist {
         let mut nl = Netlist::new();
@@ -782,5 +779,72 @@ mod tests {
             structural_signature(&Netlist::new()),
             structural_signature(&Netlist::new())
         );
+    }
+
+    /// A netlist of `nets` nets and 2×2 enhancement devices, each
+    /// given as `(x, gate, source, drain)` with nets by index.
+    fn fets(nets: u32, devices: &[(i64, u32, u32, u32)]) -> Netlist {
+        let mut nl = Netlist::new();
+        for _ in 0..nets {
+            nl.add_net();
+        }
+        for &(x, g, s, d) in devices {
+            nl.add_device(Device {
+                kind: DeviceKind::Enhancement,
+                gate: NetId(g),
+                source: NetId(s),
+                drain: NetId(d),
+                length: 2,
+                width: 2,
+                location: Point::new(x, 0),
+                channel_geometry: vec![],
+            });
+        }
+        nl
+    }
+
+    #[test]
+    fn symmetric_diffusion_nets_need_no_orientation() {
+        // Nets 0 and 1, A's diffusion sides, each gate one of the
+        // identical devices B and C, so structure alone cannot orient
+        // A; the right side lists A's terminals the other way round.
+        let left = fets(6, &[(0, 5, 0, 1), (10, 0, 2, 3), (20, 1, 3, 4)]);
+        let right = fets(6, &[(0, 5, 1, 0), (10, 0, 2, 3), (20, 1, 3, 4)]);
+        assert_eq!(same_circuit(&left, &right), Ok(()));
+
+        // Moving B's gate to net 1 is a different circuit.
+        let rewired = fets(6, &[(0, 5, 1, 0), (10, 1, 2, 3), (20, 1, 3, 4)]);
+        let err = same_circuit(&left, &rewired).unwrap_err();
+        assert!(matches!(err, CircuitDiff::NetMismatch { .. }), "{err}");
+        assert!(err.to_string().contains("no counterpart"), "{err}");
+    }
+
+    #[test]
+    fn devices_sharing_a_key_fall_back_to_the_signature() {
+        // Two devices with one key, listed in either order.
+        let left = fets(6, &[(0, 0, 1, 2), (0, 3, 4, 5)]);
+        let right = fets(6, &[(0, 3, 4, 5), (0, 0, 1, 2)]);
+        assert_eq!(same_circuit(&left, &right), Ok(()));
+
+        // A gate tied to its own source versus the other device's: the
+        // shared rank makes the partitions agree, the signatures not.
+        let diode = fets(5, &[(0, 0, 0, 1), (0, 2, 3, 4)]);
+        let crossed = fets(5, &[(0, 0, 3, 1), (0, 2, 0, 4)]);
+        assert_ne!(structural_signature(&diode), structural_signature(&crossed));
+        let err = same_circuit(&diode, &crossed).unwrap_err();
+        assert!(err.to_string().contains("share a key"), "{err}");
+    }
+
+    #[test]
+    fn a_name_on_an_isolated_net_does_not_match_a_terminal_net() {
+        // Net 3, the first stage's output, carries terminals.
+        let mut named = inverter_chain(2, false);
+        named.add_name(NetId(3), "OUT");
+        let mut isolated = inverter_chain(2, false);
+        let extra = isolated.add_net();
+        isolated.add_name(extra, "OUT");
+        let expect = Err(CircuitDiff::NameMismatch { name: "OUT".into() });
+        assert_eq!(same_circuit(&named, &isolated), expect);
+        assert_eq!(same_circuit(&isolated, &named), expect);
     }
 }

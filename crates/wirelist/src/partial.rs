@@ -14,7 +14,7 @@ use crate::model::{Device, DeviceKind, NetId};
 /// A transistor whose channel touches a window or band boundary; its
 /// final form "is determined by the contents of the windows adjacent
 /// to the partial transistor" (HEXT §3).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PartialDevice {
     /// Channel area inside this window.
     pub area: i64,
@@ -29,12 +29,14 @@ pub struct PartialDevice {
 }
 
 impl PartialDevice {
-    /// Finalizes the (merged) partial transistor with the same rules
-    /// as the flat extractor: width is the mean of the two largest
+    /// The one width/length rule, shared by the flat sweep, the band
+    /// stitch and HEXT: width is the mean of the two largest
     /// distinct-net terminal contacts, length is area / width, and a
     /// channel with fewer than two distinct terminals is a capacitor.
-    pub fn finalize(&self) -> Device {
-        let mut terminals = self.terminals.clone();
+    /// Coalesces the terminals by net and sorts them longest first, in
+    /// place.
+    pub fn finalize(&mut self) -> Device {
+        let terminals = &mut self.terminals;
         terminals.sort_unstable_by_key(|&(net, _)| net);
         terminals.dedup_by(|a, b| {
             if a.0 == b.0 {
@@ -119,7 +121,7 @@ mod tests {
 
     #[test]
     fn finalize_two_terminals() {
-        let p = PartialDevice {
+        let mut p = PartialDevice {
             area: 400 * 400,
             bbox: Rect::new(0, 0, 400, 400),
             depletion: false,
@@ -134,7 +136,7 @@ mod tests {
 
     #[test]
     fn finalize_dedupes_terminals_by_net() {
-        let p = PartialDevice {
+        let mut p = PartialDevice {
             area: 800,
             bbox: Rect::new(0, 0, 40, 20),
             depletion: true,
@@ -148,7 +150,7 @@ mod tests {
 
     #[test]
     fn finalize_single_terminal_is_capacitor() {
-        let p = PartialDevice {
+        let mut p = PartialDevice {
             area: 100,
             bbox: Rect::new(0, 0, 10, 10),
             depletion: false,
@@ -163,7 +165,7 @@ mod tests {
 
     #[test]
     fn finalize_zero_terminal_capacitor_uses_sqrt_width() {
-        let p = PartialDevice {
+        let mut p = PartialDevice {
             area: 10_000,
             bbox: Rect::new(0, 0, 100, 100),
             depletion: false,
@@ -184,7 +186,7 @@ mod tests {
         // to zero length. The old `.max(1)` clamp turned this into a
         // width-1 device with length == area (an ∞-style L); now the
         // division is skipped and the dimension reads as degenerate.
-        let p = PartialDevice {
+        let mut p = PartialDevice {
             area: 400 * 400,
             bbox: Rect::new(0, 0, 400, 400),
             depletion: false,
@@ -196,14 +198,14 @@ mod tests {
         assert_eq!(d.dim(), DeviceDim::Degenerate);
 
         // Same for a single zero-length terminal (capacitor path).
-        let p = PartialDevice {
+        let mut p = PartialDevice {
             terminals: vec![(1, 0)],
             ..p
         };
         assert_eq!(p.finalize().dim(), DeviceDim::Degenerate);
 
         // A healthy device still reports its channel.
-        let p = PartialDevice {
+        let mut p = PartialDevice {
             terminals: vec![(1, 400), (2, 400)],
             ..p
         };
@@ -214,6 +216,14 @@ mod tests {
                 width: 400
             }
         );
+    }
+
+    #[test]
+    fn integer_sqrt_basics() {
+        assert_eq!(integer_sqrt(0), 0);
+        assert_eq!(integer_sqrt(1), 1);
+        assert_eq!(integer_sqrt(99), 9);
+        assert_eq!(integer_sqrt(100), 10);
     }
 
     #[test]

@@ -162,7 +162,7 @@ fn parasitic_totals_agree_across_backends_and_feed_order() {
                 .extract(what)
                 .unwrap_or_else(|e| panic!("{what}: {name}: {e}"));
             r.netlist.prune_floating_nets();
-            let sig = parasitic_signature(&r.netlist);
+            let sig = parasitic_signature(&r.netlist, true);
             match &reference {
                 None => {
                     assert!(
@@ -202,7 +202,7 @@ fn parasitic_totals_agree_across_backends_and_feed_order() {
             r.netlist.prune_floating_nets();
             assert_eq!(
                 ref_sig,
-                parasitic_signature(&r.netlist),
+                parasitic_signature(&r.netlist, true),
                 "{what}: parasitic totals depend on feed order (round {round})"
             );
         }

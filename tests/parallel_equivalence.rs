@@ -3,7 +3,10 @@
 //! sequential flat sweep, on every workload family and on devices,
 //! contacts, and labels deliberately straddling band seams.
 
-use ace::core::{extract_banded, extract_flat, ExtractOptions, Extraction};
+use ace::core::{
+    extract_banded, extract_flat, CircuitExtractor, ExtractOptions, Extraction,
+    IncrementalExtractor,
+};
 use ace::geom::{Layer, Rect, LAMBDA};
 use ace::layout::{FlatLayout, Library};
 use ace::wirelist::compare::same_circuit;
@@ -145,6 +148,46 @@ fn capacitor_straddling_a_seam_keeps_its_area() {
     let d = &par.netlist.devices()[0];
     assert_eq!(d.kind, ace::wirelist::DeviceKind::Capacitor);
     assert_eq!(d.channel_area(), 400 * 400);
+}
+
+/// A diffusion loop gated across its bottom side: one capacitor
+/// whose two channel sides are one net around the loop. A seam at
+/// y = 1000 cuts both side bars, so each band sees the sides as two
+/// nets that join only through the other band.
+const LOOPED_CHANNEL: &str = "L ND; B 3000 500 1500 250; B 500 5000 250 2500;
+     B 500 5000 2750 2500; B 3000 500 1500 4750;
+     L NP; B 500 1500 1500 250; E";
+
+#[test]
+fn looped_channel_stays_a_capacitor_at_every_band_count() {
+    let flat = flat_of(LOOPED_CHANNEL);
+    let one_capacitor = |e: &Extraction, what: &str| {
+        let devices: Vec<_> = e
+            .netlist
+            .devices()
+            .iter()
+            .map(|d| (d.kind, d.length, d.width))
+            .collect();
+        assert_eq!(
+            devices,
+            [(ace::wirelist::DeviceKind::Capacitor, 250, 1000)],
+            "{what}"
+        );
+    };
+    one_capacitor(&check_cuts(&flat, "loop", &[1000]), "cut at y = 1000");
+    for bands in 2..=16 {
+        let banded = extract_flat(
+            flat.clone(),
+            "loop",
+            ExtractOptions::new().with_threads(2).with_bands(bands),
+        )
+        .expect("banded");
+        one_capacitor(&banded, &format!("{bands} bands"));
+        let incremental = IncrementalExtractor::new(flat.clone(), bands)
+            .extract("loop")
+            .expect("incremental");
+        one_capacitor(&incremental, &format!("incremental, {bands} bands"));
+    }
 }
 
 #[test]
@@ -341,7 +384,7 @@ proptest! {
         let signature = |e: &Extraction| {
             let mut nl = e.netlist.clone();
             nl.prune_floating_nets();
-            parasitic_signature(&nl)
+            parasitic_signature(&nl, true)
         };
         let seq = extract_flat(flat.clone(), "soup", ExtractOptions::new()).expect("flat");
         let expect = signature(&seq);
