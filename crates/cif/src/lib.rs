@@ -56,6 +56,6 @@ mod write;
 
 pub use ast::{CifFile, Command, Shape, SymbolDef, SymbolId};
 pub use error::ParseCifError;
-pub use locate::{label_line, label_sites, LabelSite};
+pub use locate::{label_sites, LabelSite};
 pub use parse::parse;
 pub use write::{write_cif, CifWriter};

@@ -95,14 +95,6 @@ pub fn label_sites(src: &str) -> Vec<LabelSite> {
     sites
 }
 
-/// The source line of the first `94` command naming `name`, if any.
-pub fn label_line(src: &str, name: &str) -> Option<u32> {
-    label_sites(src)
-        .into_iter()
-        .find(|s| s.name == name)
-        .map(|s| s.line)
-}
-
 fn parse_label(command: &str, line: u32) -> Option<LabelSite> {
     let mut tokens = command.split_whitespace();
     if tokens.next()? != "94" {
@@ -150,13 +142,6 @@ mod tests {
         let sites = label_sites(src);
         assert_eq!(sites.len(), 1);
         assert_eq!(sites[0].line, 3);
-    }
-
-    #[test]
-    fn label_line_matches_by_first_occurrence() {
-        let src = "DS 1;\n94 X 0 0;\nDF;\n94 X 5 5;\nE";
-        assert_eq!(label_line(src, "X"), Some(2));
-        assert_eq!(label_line(src, "missing"), None);
     }
 
     #[test]

@@ -195,7 +195,9 @@ pub fn quote(s: &str) -> String {
     out
 }
 
-fn write_quoted(s: &str, out: &mut String) {
+/// Appends `s` to `out` as [`quote`] renders it, for emitters that
+/// write a whole document into one buffer.
+pub fn write_quoted(s: &str, out: &mut String) {
     out.push('"');
     // Copy unescaped runs whole; escaped bytes are ASCII, so every
     // run ends on a character boundary.

@@ -17,15 +17,20 @@
 //! violation list depends only on the drawn point sets — never on how
 //! the artwork was fractured into boxes.
 
+use std::collections::BTreeMap;
 use std::time::Instant;
 
-use ace_geom::{intersect_boxes, merge_boxes, subtract_boxes, Coord, Layer, LayerMap, Rect};
+use ace_geom::{
+    intersect_boxes, merge_boxes, subtract_boxes, Coord, Layer, LayerMap, Rect, RectIndex,
+};
 use ace_layout::probe::{Counter, Lane, Probe};
 use ace_layout::FlatLayout;
 use ace_lint::{sort_diagnostics, Diagnostic, LintConfig, LintSpan, RuleId};
 
 use crate::deck::{DrcRule, RuleDeck};
-use crate::region::{axis_cross, components, cover_area, hull, inflate_cover, narrow_region};
+use crate::region::{
+    axis_cross, component_ids, components, cover_area, hull, inflate_cover, narrow_region,
+};
 
 /// One structured DRC finding.
 ///
@@ -206,45 +211,66 @@ fn check_width(cover: &[Rect], layer: Layer, min: Coord, out: &mut Vec<Violation
     }
 }
 
+/// Every pair of components closer than `min`, found cell by cell: a
+/// cell pair has a Chebyshev gap below `min` exactly when one cell
+/// overlaps the other's `min`-inflation, and only such pairs can pull
+/// a component pair's gap below `min` or face each other within it.
 fn check_spacing(cover: &[Rect], layer: Layer, min: Coord, out: &mut Vec<Violation>) {
-    let comps = components(cover);
-    for i in 0..comps.len() {
-        for j in i + 1..comps.len() {
-            let (a, b) = (&comps[i], &comps[j]);
-            let (ha, hb) = (hull(a), hull(b));
-            if chebyshev_gap(&ha, &hb) >= min {
-                continue;
-            }
-            let mut gap = Coord::MAX;
-            let mut involved: Vec<Rect> = Vec::new();
-            for ra in a {
-                for rb in b {
-                    gap = gap.min(chebyshev_gap(ra, rb));
-                    if let Some(facing) = ra.intersection(&rb.inflate(min)) {
-                        involved.push(facing);
-                    }
-                    if let Some(facing) = rb.intersection(&ra.inflate(min)) {
-                        involved.push(facing);
-                    }
-                }
-            }
-            if gap >= min {
-                continue;
-            }
-            let involved = merge_boxes(&involved);
-            // Order the pair by hull, not by component enumeration
-            // order, so independent implementations agree.
-            let (first, second) = if ha <= hb { (ha, hb) } else { (hb, ha) };
-            out.push(Violation::Spacing {
-                layer,
-                min,
-                gap,
-                involved: hull(&involved),
-                first,
-                second,
-            });
+    let ids = component_ids(cover);
+    // Ids number components by first cell, so an unseen id is always
+    // the next one.
+    let mut hulls: Vec<Rect> = Vec::new();
+    for (r, &id) in cover.iter().zip(&ids) {
+        match hulls.get_mut(id) {
+            Some(h) => *h = h.bounding_union(r),
+            None => hulls.push(*r),
         }
     }
+    let index = RectIndex::new(cover);
+    // (gap, involved hull) per component pair, lower id first.
+    let mut pairs: BTreeMap<(usize, usize), (Coord, Rect)> = BTreeMap::new();
+    let mut hits = Vec::new();
+    for (j, rb) in cover.iter().enumerate() {
+        let reach = rb.inflate(min);
+        index.query(&reach, &mut hits);
+        for &i in hits.iter().filter(|&&i| ids[i] < ids[j]) {
+            let ra = &cover[i];
+            // `ra` lies within `min` of `rb`, so each faces the other.
+            let (Some(fa), Some(fb)) = (ra.intersection(&reach), rb.intersection(&ra.inflate(min)))
+            else {
+                unreachable!("cells within `min` of each other face each other");
+            };
+            let (gap, facing) = (chebyshev_gap(ra, rb), fa.bounding_union(&fb));
+            pairs
+                .entry((ids[i], ids[j]))
+                .and_modify(|(g, involved)| {
+                    *g = (*g).min(gap);
+                    *involved = involved.bounding_union(&facing);
+                })
+                .or_insert((gap, facing));
+        }
+    }
+    for ((a, b), (gap, involved)) in pairs {
+        // Order the pair by hull, not by component enumeration order,
+        // so independent implementations agree.
+        let (ha, hb) = (hulls[a], hulls[b]);
+        let (first, second) = if ha <= hb { (ha, hb) } else { (hb, ha) };
+        out.push(Violation::Spacing {
+            layer,
+            min,
+            gap,
+            involved,
+            first,
+            second,
+        });
+    }
+}
+
+/// The cells of `index` (built over `cells`) that overlap `region`'s
+/// hull: the only ones that can cover any of it.
+fn near(index: &RectIndex, cells: &[Rect], region: &[Rect], hits: &mut Vec<usize>) -> Vec<Rect> {
+    index.query(&hull(region), hits);
+    hits.iter().map(|&i| cells[i]).collect()
 }
 
 fn check_enclosure(
@@ -255,14 +281,16 @@ fn check_enclosure(
     margin: Coord,
     out: &mut Vec<Violation>,
 ) {
-    let mut outer_boxes: Vec<Rect> = Vec::new();
-    for &l in outer {
-        outer_boxes.extend_from_slice(&covers[l]);
-    }
-    let outer_cover = merge_boxes(&outer_boxes);
+    let outer_cells: Vec<Rect> = outer
+        .iter()
+        .flat_map(|&l| covers[l].iter().copied())
+        .collect();
+    let index = RectIndex::new(&outer_cells);
+    let mut hits = Vec::new();
     for comp in components(inner_cover) {
         let required = inflate_cover(&comp, margin);
-        let uncovered = subtract_boxes(&required, &outer_cover);
+        let cover = near(&index, &outer_cells, &required, &mut hits);
+        let uncovered = subtract_boxes(&required, &cover);
         if !uncovered.is_empty() {
             out.push(Violation::Enclosure {
                 inner,
@@ -286,12 +314,13 @@ fn check_extension(
     if channel.is_empty() {
         return;
     }
-    let mut union_boxes = covers[over].clone();
-    union_boxes.extend_from_slice(&covers[past]);
-    let union = merge_boxes(&union_boxes);
+    let union_cells = [covers[over].as_slice(), &covers[past]].concat();
+    let index = RectIndex::new(&union_cells);
+    let mut hits = Vec::new();
     for comp in components(&channel) {
         let required = axis_cross(&comp, margin);
-        let uncovered = subtract_boxes(&required, &union);
+        let cover = near(&index, &union_cells, &required, &mut hits);
+        let uncovered = subtract_boxes(&required, &cover);
         if !uncovered.is_empty() {
             out.push(Violation::Extension {
                 over,
@@ -499,5 +528,115 @@ mod tests {
         let mut flat = FlatLayout::new();
         flat.push_box(Layer::Metal, Rect::new(0, 0, 0, 2000));
         assert_eq!(check_layout(&flat, &RuleDeck::nmos()), vec![]);
+    }
+
+    /// `boxes` plus 300 far-away squares on `layer`, so each rule's
+    /// index has more than one level above its leaves.
+    fn with_distractors(layer: Layer, boxes: &[(Layer, Rect)]) -> FlatLayout {
+        let mut flat = FlatLayout::new();
+        for &(l, r) in boxes {
+            flat.push_box(l, r);
+        }
+        for i in 0..300 {
+            let (x, y) = ((i % 20) * 2000, 100_000 + (i / 20) * 2000);
+            flat.push_box(layer, Rect::new(x, y, x + 1000, y + 1000));
+        }
+        flat
+    }
+
+    #[test]
+    fn enclosure_sees_a_rail_that_starts_far_outside_the_window() {
+        let deck = RuleDeck::parse("enclose NC NM 250").expect("deck");
+        let cut = Rect::new(0, 0, 500, 500);
+        // The rail ends exactly on the margin's far edge: clean.
+        let rail = Rect::new(-1_000_000, -250, 750, 750);
+        let flat = with_distractors(Layer::Metal, &[(Layer::Cut, cut), (Layer::Metal, rail)]);
+        assert_eq!(check_layout(&flat, &deck), vec![]);
+        // One unit short of it: a 1 × 1000 strip is uncovered.
+        let short = Rect::new(-1_000_000, -250, 749, 750);
+        let flat = with_distractors(Layer::Metal, &[(Layer::Cut, cut), (Layer::Metal, short)]);
+        assert_eq!(
+            check_layout(&flat, &deck),
+            vec![Violation::Enclosure {
+                inner: Layer::Cut,
+                outer: vec![Layer::Metal],
+                margin: 250,
+                bbox: cut,
+                uncovered: 1000,
+            }]
+        );
+    }
+
+    #[test]
+    fn extension_sees_poly_that_continues_past_the_window() {
+        let deck = RuleDeck::parse("extend NP ND 500").expect("deck");
+        let diffusion = Rect::new(0, -1000, 500, 1500);
+        // The gate's right-hand extension is a separate, taller rect
+        // that leaves the required window far behind.
+        let gate = Rect::new(-500, 0, 700, 500);
+        let beyond = Rect::new(700, -250, 20_000, 750);
+        let flat = with_distractors(
+            Layer::Poly,
+            &[
+                (Layer::Diffusion, diffusion),
+                (Layer::Poly, gate),
+                (Layer::Poly, beyond),
+            ],
+        );
+        assert_eq!(check_layout(&flat, &deck), vec![]);
+        // Ending one unit inside the window leaves a 1 × 500 strip.
+        let short = Rect::new(700, -250, 999, 750);
+        let flat = with_distractors(
+            Layer::Poly,
+            &[
+                (Layer::Diffusion, diffusion),
+                (Layer::Poly, gate),
+                (Layer::Poly, short),
+            ],
+        );
+        assert_eq!(
+            check_layout(&flat, &deck),
+            vec![Violation::Extension {
+                over: Layer::Poly,
+                past: Layer::Diffusion,
+                margin: 500,
+                bbox: Rect::new(0, 0, 500, 500),
+                uncovered: 500,
+            }]
+        );
+    }
+
+    #[test]
+    fn comb_facing_islands_reports_exactly_the_close_ones() {
+        // A spine with 150 teeth; above each tooth an island, every
+        // other one a unit closer than `min`.
+        let min = 750;
+        let deck = RuleDeck::parse("space NM 750").expect("deck");
+        let teeth = 150;
+        let spine = Rect::new(0, 0, teeth * 2000, 1000);
+        let mut flat = FlatLayout::new();
+        flat.push_box(Layer::Metal, spine);
+        let mut want = Vec::new();
+        for k in 0..teeth {
+            let x = k * 2000;
+            flat.push_box(Layer::Metal, Rect::new(x, 1000, x + 1000, 5000));
+            let gap = if k % 2 == 0 { min - 1 } else { min };
+            let island = Rect::new(x, 5000 + gap, x + 1000, 6000 + gap);
+            flat.push_box(Layer::Metal, island);
+            if gap < min {
+                want.push(Violation::Spacing {
+                    layer: Layer::Metal,
+                    min,
+                    gap,
+                    // The tooth's top unit and the island's bottom unit.
+                    involved: Rect::new(x, 5000 - 1, x + 1000, 5000 + gap + 1),
+                    first: Rect::new(0, 0, teeth * 2000, 5000),
+                    second: island,
+                });
+            }
+        }
+        want.sort();
+        assert_eq!(want.len(), 75);
+        assert_eq!(check_layout(&flat, &deck), want);
     }
 }

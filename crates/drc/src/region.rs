@@ -12,7 +12,9 @@ use std::collections::BTreeMap;
 
 use ace_geom::{merge_boxes, subtract_boxes, Coord, Interval, IntervalMap, Rect};
 
-/// Groups a canonical cover's cells into connected components.
+/// Per-cell component ids for a canonical cover: cell `i` belongs to
+/// component `ids[i]`, and components are numbered in canonical order
+/// (by their first cell in the cover's `(y_min, x_min)` order).
 ///
 /// Connectivity matches the extractor's electrical semantics: two
 /// cells connect when they overlap or share an edge of positive
@@ -21,10 +23,7 @@ use ace_geom::{merge_boxes, subtract_boxes, Coord, Interval, IntervalMap, Rect};
 /// vertically — the adjacency scan indexes each strip boundary's
 /// starting cells in an [`IntervalMap`] and stabs it with the x-spans
 /// of the cells ending there.
-///
-/// Components are returned in canonical order (by their first cell in
-/// the cover's `(y_min, x_min)` order), each as a sub-cover.
-pub fn components(cover: &[Rect]) -> Vec<Vec<Rect>> {
+pub fn component_ids(cover: &[Rect]) -> Vec<usize> {
     let mut parent: Vec<usize> = (0..cover.len()).collect();
     fn find(parent: &mut [usize], i: usize) -> usize {
         let mut root = i;
@@ -51,31 +50,38 @@ pub fn components(cover: &[Rect]) -> Vec<Vec<Rect>> {
             for (_, &j) in below.overlapping(Interval::new(r.x_min, r.x_max)) {
                 let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
                 if ri != rj {
-                    // Union by canonical order: lower cell index wins,
-                    // so component order is deterministic.
+                    // Union by canonical order: the lower cell index
+                    // wins, so every root is its component's first cell.
                     parent[ri.max(rj)] = ri.min(rj);
                 }
             }
         }
     }
-    let mut groups: BTreeMap<usize, Vec<Rect>> = BTreeMap::new();
-    for (i, r) in cover.iter().enumerate() {
-        groups.entry(find(&mut parent, i)).or_default().push(*r);
-    }
-    groups.into_values().collect()
-}
-
-/// Per-cell component ids for a canonical cover, numbered in the same
-/// canonical order [`components`] returns.
-pub fn component_ids(cover: &[Rect]) -> Vec<usize> {
-    let comps = components(cover);
-    let mut by_cell: BTreeMap<Rect, usize> = BTreeMap::new();
-    for (id, comp) in comps.iter().enumerate() {
-        for r in comp {
-            by_cell.insert(*r, id);
+    // A root precedes the rest of its component, so numbering roots as
+    // they appear numbers components by first cell.
+    let mut ids = vec![0; cover.len()];
+    let mut next = 0;
+    for i in 0..cover.len() {
+        let root = find(&mut parent, i);
+        if root == i {
+            ids[i] = next;
+            next += 1;
+        } else {
+            ids[i] = ids[root];
         }
     }
-    cover.iter().map(|r| by_cell[r]).collect()
+    ids
+}
+
+/// Groups a canonical cover's cells into connected components (see
+/// [`component_ids`]), in canonical order, each as a sub-cover.
+pub fn components(cover: &[Rect]) -> Vec<Vec<Rect>> {
+    let ids = component_ids(cover);
+    let mut groups: Vec<Vec<Rect>> = vec![Vec::new(); ids.iter().max().map_or(0, |&m| m + 1)];
+    for (r, &id) in cover.iter().zip(&ids) {
+        groups[id].push(*r);
+    }
+    groups
 }
 
 /// Smallest rectangle covering a non-empty cover.

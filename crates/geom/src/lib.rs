@@ -21,6 +21,9 @@
 //!   "split into a number of small aligned boxes that approximate the
 //!   original object" (paper §3), exactly for manhattan input.
 //! * [`Layer`] — the seven Mead–Conway NMOS mask layers.
+//! * [`RectIndex`] — a static packed R-tree answering "which boxes
+//!   overlap this window", so design-rule and lint checks ask each
+//!   local question with a local query.
 //!
 //! # Examples
 //!
@@ -43,6 +46,7 @@ mod merge;
 mod point;
 mod polygon;
 mod rect;
+mod rect_index;
 mod roundflash;
 mod transform;
 mod wire;
@@ -54,6 +58,7 @@ pub use merge::{intersect_boxes, merge_boxes, subtract_boxes, union_area, BoxMer
 pub use point::Point;
 pub use polygon::{fracture_polygon, fracture_polygon_default, Polygon};
 pub use rect::Rect;
+pub use rect_index::RectIndex;
 pub use roundflash::fracture_round_flash;
 pub use transform::{Orientation, Transform};
 pub use wire::{fracture_wire, Wire};

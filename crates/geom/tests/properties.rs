@@ -2,7 +2,7 @@
 
 use ace_geom::{
     fracture_polygon, fracture_wire, merge_boxes, union_area, Interval, IntervalMap, IntervalSet,
-    Orientation, Point, Polygon, Rect, Transform, Wire, LAMBDA,
+    Orientation, Point, Polygon, Rect, RectIndex, Transform, Wire, LAMBDA,
 };
 use proptest::prelude::*;
 
@@ -23,8 +23,61 @@ fn rect() -> impl Strategy<Value = Rect> {
         .prop_map(|(x, y, w, h)| Rect::new(x, y, x + w, y + h))
 }
 
+/// A rect for the [`RectIndex`] oracle test: mostly small boxes over
+/// negative and positive coordinates, plus full-width and full-height
+/// strips and zero-area rects.
+fn indexed_rect() -> impl Strategy<Value = Rect> {
+    prop_oneof![
+        6 => (-5000i64..5000, -5000i64..5000, 1i64..300, 1i64..300)
+            .prop_map(|(x, y, w, h)| Rect::new(x, y, x + w, y + h)),
+        1 => (-5000i64..5000, 1i64..8).prop_map(|(y, h)| Rect::new(-5000, y, 5000, y + h)),
+        1 => (-5000i64..5000, 1i64..8).prop_map(|(x, w)| Rect::new(x, -5000, x + w, 5000)),
+        1 => (-5000i64..5000, -5000i64..5000, 0i64..300)
+            .prop_map(|(x, y, h)| Rect::new(x, y, x, y + h)),
+    ]
+}
+
+/// A query window inside the rects' hull, straddling its edge, or far
+/// outside it; some windows have zero area.
+fn index_window() -> impl Strategy<Value = Rect> {
+    let at = |lo: i64, hi: i64, size: i64| {
+        (lo..hi, lo..hi, 0..size, 0..size).prop_map(|(x, y, w, h)| Rect::new(x, y, x + w, y + h))
+    };
+    prop_oneof![
+        3 => at(-4500, 4500, 600),
+        2 => at(-6000, -4000, 3000),
+        2 => at(4000, 6000, 3000),
+        1 => at(50_000, 60_000, 600),
+        1 => at(-60_000, -50_000, 600),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn rect_index_matches_linear_scan(
+        drawn in prop::collection::vec(indexed_rect(), 0..2500),
+        copies in prop::collection::vec(any::<usize>(), 0..200),
+        windows in prop::collection::vec(index_window(), 1..16),
+    ) {
+        // Duplicates: re-add some drawn rects verbatim.
+        let mut rects = drawn.clone();
+        if !drawn.is_empty() {
+            rects.extend(copies.iter().map(|&i| drawn[i % drawn.len()]));
+        }
+        let index = RectIndex::new(&rects);
+        let mut hits = Vec::new();
+        for window in &windows {
+            index.query(window, &mut hits);
+            let want: Vec<usize> = (0..rects.len())
+                .filter(|&i| {
+                    rects[i].intersection(window).is_some_and(|r| r.area() > 0)
+                })
+                .collect();
+            prop_assert_eq!(&hits, &want, "query({}) diverges from the linear scan", window);
+        }
+    }
 
     #[test]
     fn transform_composition_is_application_order(

@@ -169,7 +169,7 @@ mod tests {
         let flat = stack(10);
         for k in 2..6 {
             let cuts = band_cuts(&flat, k);
-            assert!(cuts.len() <= k - 1);
+            assert!(cuts.len() < k);
             for c in &cuts {
                 assert!(c % 10 == 0, "cut {c} is not a box edge");
                 assert!(0 < *c && *c < 100);

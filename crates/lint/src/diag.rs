@@ -238,8 +238,8 @@ pub struct LintSpan {
     /// What the anchor is ("gate of nEnh", "also 'X'", …).
     pub label: String,
     /// The net name involved, when there is one — lets the SARIF
-    /// emitter recover the `94` label's source line via
-    /// [`ace_cif::label_line`].
+    /// emitter recover the `94` label's source line from
+    /// [`ace_cif::label_sites`].
     pub name: Option<String>,
 }
 

@@ -16,10 +16,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 use ace_core::{extract_library_probed, CounterProbe, ExtractError, ExtractOptions, Extraction};
-use ace_geom::{Layer, LayerMap, Point, Rect};
+use ace_geom::{Layer, LayerMap, Point, Rect, RectIndex};
 use ace_layout::probe::{Counter, Lane, Probe};
 use ace_layout::{FlatLayout, Library, NullProbe};
-use ace_wirelist::{DeviceDim, DeviceKind, Netlist};
+use ace_wirelist::{Device, DeviceDim, DeviceKind, NetId, Netlist};
 
 use crate::config::LintConfig;
 use crate::diag::{sort_diagnostics, Diagnostic, LintSpan, RuleId};
@@ -34,6 +34,12 @@ struct Ctx<'a> {
     /// Per-net count of source/drain terminals (a capacitor's merged
     /// terminal counts twice).
     sd_attach: Vec<u32>,
+    /// Per-net source/drain device lists in CSR form: the devices with
+    /// a source or drain on net `n` are
+    /// `sd_devices[sd_start[n]..sd_start[n + 1]]`, each once, in
+    /// device order.
+    sd_start: Vec<usize>,
+    sd_devices: Vec<usize>,
     /// Layout label positions per name, sorted and deduplicated —
     /// the backend-stable way to anchor a diagnostic on a net name.
     label_pos: BTreeMap<&'a str, Vec<Point>>,
@@ -44,10 +50,27 @@ impl<'a> Ctx<'a> {
         let n = netlist.net_count();
         let mut gate_attach = vec![0u32; n];
         let mut sd_attach = vec![0u32; n];
+        let mut sd_start = vec![0usize; n + 1];
         for d in netlist.devices() {
             gate_attach[d.gate.0 as usize] += 1;
             sd_attach[d.source.0 as usize] += 1;
             sd_attach[d.drain.0 as usize] += 1;
+            for net in sd_nets(d) {
+                sd_start[net + 1] += 1;
+            }
+        }
+        let mut total = 0;
+        for start in &mut sd_start {
+            total += *start;
+            *start = total;
+        }
+        let mut fill = sd_start.clone();
+        let mut sd_devices = vec![0usize; sd_start[n]];
+        for (k, d) in netlist.devices().iter().enumerate() {
+            for net in sd_nets(d) {
+                sd_devices[fill[net]] = k;
+                fill[net] += 1;
+            }
         }
         let mut label_pos: BTreeMap<&str, Vec<Point>> = BTreeMap::new();
         for label in layout.labels() {
@@ -66,8 +89,20 @@ impl<'a> Ctx<'a> {
             config,
             gate_attach,
             sd_attach,
+            sd_start,
+            sd_devices,
             label_pos,
         }
+    }
+
+    /// The devices with a source or drain on `net`, each once, in
+    /// device order.
+    fn sd_devices(&self, net: NetId) -> impl Iterator<Item = &'a Device> + '_ {
+        let n = net.0 as usize;
+        let devices = self.netlist.devices();
+        self.sd_devices[self.sd_start[n]..self.sd_start[n + 1]]
+            .iter()
+            .map(move |&k| &devices[k])
     }
 
     /// The canonical (smallest) layout position of a label name.
@@ -94,6 +129,12 @@ impl<'a> Ctx<'a> {
             related,
         });
     }
+}
+
+/// The distinct nets of a device's source and drain, as indexes.
+fn sd_nets(d: &Device) -> impl Iterator<Item = usize> {
+    let (s, t) = (d.source.0 as usize, d.drain.0 as usize);
+    std::iter::once(s).chain((t != s).then_some(t))
 }
 
 /// Runs every enabled rule and returns the diagnostics in canonical
@@ -209,10 +250,7 @@ fn undriven_net(ctx: &Ctx, out: &mut Vec<Diagnostic>) {
         // Exactly one terminal means exactly one device (a capacitor
         // would contribute two); anchor on it.
         let owner = ctx
-            .netlist
-            .devices()
-            .iter()
-            .filter(|d| d.source == id || d.drain == id)
+            .sd_devices(id)
             .min_by_key(|d| (d.location.x, d.location.y));
         if let Some(d) = owner {
             ctx.emit(
@@ -263,8 +301,8 @@ fn zero_wl_device(ctx: &Ctx, out: &mut Vec<Diagnostic>) {
 }
 
 fn dangling_cut(ctx: &Ctx, out: &mut Vec<Diagnostic>) {
-    // Index conducting geometry once; each contact then probes the
-    // three lists. Overlap means *interior* intersection (half-open
+    // Index conducting geometry once; each contact then queries the
+    // three indexes. Overlap means *interior* intersection (half-open
     // rects), matching the extractor's connectivity semantics.
     let mut conducting: LayerMap<Vec<Rect>> = LayerMap::default();
     for b in ctx.layout.boxes() {
@@ -272,7 +310,12 @@ fn dangling_cut(ctx: &Ctx, out: &mut Vec<Diagnostic>) {
             conducting[b.layer].push(b.rect);
         }
     }
-    let touches = |layer: Layer, r: &Rect| conducting[layer].iter().any(|c| c.overlaps(r));
+    let index: LayerMap<RectIndex> = LayerMap::from_fn(|l| RectIndex::new(&conducting[l]));
+    let mut hits = Vec::new();
+    let mut touches = |layer: Layer, r: &Rect| {
+        index[layer].query(r, &mut hits);
+        !hits.is_empty()
+    };
     for b in ctx.layout.boxes() {
         match b.layer {
             Layer::Cut => {
@@ -388,8 +431,8 @@ fn overloaded_net(ctx: &Ctx, out: &mut Vec<Diagnostic>) {
         // backend-stable (never the NetId).
         let mut drive_milli: i64 = 0;
         let mut anchor: Option<Point> = None;
-        for d in ctx.netlist.devices() {
-            if d.kind == DeviceKind::Capacitor || (d.source != id && d.drain != id) {
+        for d in ctx.sd_devices(id) {
+            if d.kind == DeviceKind::Capacitor {
                 continue;
             }
             if d.length > 0 {
@@ -488,7 +531,6 @@ pub fn extract_text_linted(
 mod tests {
     use super::*;
     use crate::diag::Severity;
-    use ace_wirelist::Device;
 
     fn run(src: &str) -> Vec<Diagnostic> {
         run_with(src, &LintConfig::new())

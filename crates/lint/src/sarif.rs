@@ -12,14 +12,17 @@
 //! output.
 //!
 //! Region mapping: a CIF layout has no meaningful "column", so a
-//! result's `region` carries only `startLine` — the line of the `94`
-//! label command the span names, recovered via
-//! [`ace_cif::label_line`] when the CIF source text is available.
-//! Spans without a net name (device locations, contact boxes) carry
-//! their chip coordinates in the result's `properties.anchor` bag
-//! instead.
+//! result's `region` carries only `startLine` — the line of the first
+//! `94` label command naming the span's net, looked up in one table
+//! per case built from [`ace_cif::label_sites`] when the CIF source
+//! text is available. Spans without a net name (device locations,
+//! contact boxes) carry their chip coordinates in the result's
+//! `properties.anchor` bag instead.
 
-use ace_core::json::{quote, Json};
+use std::collections::HashMap;
+use std::fmt::Write as _;
+
+use ace_core::json::{quote, write_quoted, Json};
 
 use crate::diag::{Diagnostic, LintSpan, RuleId};
 
@@ -41,7 +44,10 @@ pub const SARIF_SCHEMA: &str = "https://json.schemastore.org/sarif-2.1.0.json";
 /// Renders a complete SARIF 2.1.0 log with one run covering all
 /// `cases`.
 pub fn sarif_report(cases: &[SarifCase]) -> String {
-    let mut out = String::new();
+    let total: usize = cases.iter().map(|c| c.diagnostics.len()).sum();
+    // One buffer for the whole log, sized so a typical report never
+    // regrows (and so never copies itself) on the way.
+    let mut out = String::with_capacity(4096 + 512 * total);
     out.push_str("{\n");
     out.push_str(&format!("  \"$schema\": {},\n", quote(SARIF_SCHEMA)));
     out.push_str("  \"version\": \"2.1.0\",\n");
@@ -66,70 +72,94 @@ pub fn sarif_report(cases: &[SarifCase]) -> String {
     }
     out.push_str("          ]\n        }\n      },\n");
     out.push_str("      \"results\": [\n");
-    let total: usize = cases.iter().map(|c| c.diagnostics.len()).sum();
     let mut emitted = 0usize;
     for case in cases {
+        let lines = label_lines(case);
         for diag in case.diagnostics {
             emitted += 1;
-            out.push_str(&render_result(case, diag, emitted < total));
+            render_result(&mut out, case.uri, &lines, diag, emitted < total);
         }
     }
     out.push_str("      ]\n    }\n  ]\n}\n");
     out
 }
 
-fn render_result(case: &SarifCase, diag: &Diagnostic, comma: bool) -> String {
-    let mut out = String::new();
-    out.push_str("        {\n");
-    out.push_str(&format!(
-        "          \"ruleId\": {},\n          \"ruleIndex\": {},\n          \"level\": {},\n",
-        quote(diag.rule.name()),
-        diag.rule.index(),
-        quote(diag.severity.name())
-    ));
-    out.push_str(&format!(
-        "          \"message\": {{\"text\": {}}},\n",
-        quote(&diag.message)
-    ));
-    out.push_str(&format!(
-        "          \"locations\": [{}],\n",
-        render_location(case, &diag.primary, false)
-    ));
-    if !diag.related.is_empty() {
-        let related: Vec<String> = diag
-            .related
-            .iter()
-            .map(|span| render_location(case, span, true))
-            .collect();
-        out.push_str(&format!(
-            "          \"relatedLocations\": [{}],\n",
-            related.join(", ")
-        ));
+/// The source line of each label name's first `94` command in the
+/// case, read only when some span in the case names a net.
+fn label_lines(case: &SarifCase) -> HashMap<String, u32> {
+    let mut lines = HashMap::new();
+    let named = case
+        .diagnostics
+        .iter()
+        .any(|d| d.primary.name.is_some() || d.related.iter().any(|s| s.name.is_some()));
+    if let (true, Some(src)) = (named, case.source) {
+        for site in ace_cif::label_sites(src) {
+            lines.entry(site.name).or_insert(site.line);
+        }
     }
-    out.push_str(&format!(
-        "          \"properties\": {{\"anchor\": {}}}\n",
-        quote(&diag.primary.anchor.to_string())
-    ));
-    out.push_str(if comma { "        },\n" } else { "        }\n" });
-    out
+    lines
 }
 
-fn render_location(case: &SarifCase, span: &LintSpan, with_message: bool) -> String {
-    let region = span
-        .name
-        .as_deref()
-        .and_then(|name| case.source.and_then(|src| ace_cif::label_line(src, name)))
-        .map(|line| format!(", \"region\": {{\"startLine\": {line}}}"))
-        .unwrap_or_default();
-    let message = if with_message {
-        format!(", \"message\": {{\"text\": {}}}", quote(&span.label))
-    } else {
-        String::new()
-    };
-    format!(
-        "{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": {}}}{region}}}{message}}}",
-        quote(case.uri)
-    )
+fn render_result(
+    out: &mut String,
+    uri: &str,
+    lines: &HashMap<String, u32>,
+    diag: &Diagnostic,
+    comma: bool,
+) {
+    out.push_str("        {\n          \"ruleId\": ");
+    write_quoted(diag.rule.name(), out);
+    let _ = write!(
+        out,
+        ",\n          \"ruleIndex\": {},\n          \"level\": ",
+        diag.rule.index()
+    );
+    write_quoted(diag.severity.name(), out);
+    out.push_str(",\n          \"message\": {\"text\": ");
+    write_quoted(&diag.message, out);
+    out.push_str("},\n          \"locations\": [");
+    render_location(out, uri, lines, &diag.primary, false);
+    out.push_str("],\n");
+    if !diag.related.is_empty() {
+        out.push_str("          \"relatedLocations\": [");
+        for (i, span) in diag.related.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            render_location(out, uri, lines, span, true);
+        }
+        out.push_str("],\n");
+    }
+    // An anchor renders as digits and punctuation, which JSON strings
+    // take unescaped.
+    let _ = writeln!(
+        out,
+        "          \"properties\": {{\"anchor\": \"{}\"}}",
+        diag.primary.anchor
+    );
+    out.push_str(if comma { "        },\n" } else { "        }\n" });
+}
+
+fn render_location(
+    out: &mut String,
+    uri: &str,
+    lines: &HashMap<String, u32>,
+    span: &LintSpan,
+    with_message: bool,
+) {
+    out.push_str("{\"physicalLocation\": {\"artifactLocation\": {\"uri\": ");
+    write_quoted(uri, out);
+    out.push('}');
+    if let Some(line) = span.name.as_deref().and_then(|name| lines.get(name)) {
+        let _ = write!(out, ", \"region\": {{\"startLine\": {line}}}");
+    }
+    out.push('}');
+    if with_message {
+        out.push_str(", \"message\": {\"text\": ");
+        write_quoted(&span.label, out);
+        out.push('}');
+    }
+    out.push('}');
 }
 
 /// [`sarif_report`] for a single artifact.
@@ -325,6 +355,47 @@ mod tests {
             text,
             "dangling cut with a \"quoted\"\nand multiline twist \\o/"
         );
+    }
+
+    #[test]
+    fn regions_come_from_each_names_first_label_line() {
+        let named = |name: &str| Diagnostic {
+            rule: RuleId::ConflictingLabels,
+            severity: Severity::Warning,
+            message: format!("'{name}'"),
+            primary: LintSpan::at(Point::new(0, 0), "label here").named(name),
+            related: vec![],
+        };
+        let diags = [named("X"), named("UNLABELED")];
+        let src = "L NM; B 500 500 250 250;\n94 X 0 0 NM;\n94 X 250 250 NM;\nE";
+        let regions = |source: Option<&str>| {
+            let json = to_sarif("chip.cif", source, &diags);
+            validate_sarif(&json).unwrap();
+            Json::parse(&json)
+                .unwrap()
+                .get("runs")
+                .unwrap()
+                .as_arr()
+                .unwrap()[0]
+                .get("results")
+                .unwrap()
+                .as_arr()
+                .unwrap()
+                .iter()
+                .map(|r| {
+                    r.get("locations").unwrap().as_arr().unwrap()[0]
+                        .get("physicalLocation")
+                        .unwrap()
+                        .get("region")
+                        .map(|g| g.get("startLine").unwrap().as_int().unwrap())
+                })
+                .collect::<Vec<_>>()
+        };
+        // Two `94` lines name X: the first wins. No line names
+        // UNLABELED: no region.
+        assert_eq!(regions(Some(src)), vec![Some(2), None]);
+        // Without source text no span gets a region.
+        assert_eq!(regions(None), vec![None, None]);
     }
 
     #[test]

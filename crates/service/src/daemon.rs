@@ -884,6 +884,46 @@ enum FrameOutcome {
     Closed,
 }
 
+/// A listener-agnostic connection.
+enum Conn {
+    Unix(UnixStream),
+    Tcp(TcpStream),
+}
+
+impl Conn {
+    fn set_read_timeout(&mut self, d: Duration) -> io::Result<()> {
+        match self {
+            Conn::Unix(s) => s.set_read_timeout(Some(d)),
+            Conn::Tcp(s) => s.set_read_timeout(Some(d)),
+        }
+    }
+}
+
+impl Read for Conn {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            Conn::Unix(s) => s.read(buf),
+            Conn::Tcp(s) => s.read(buf),
+        }
+    }
+}
+
+impl Write for Conn {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Conn::Unix(s) => s.write(buf),
+            Conn::Tcp(s) => s.write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        match self {
+            Conn::Unix(s) => s.flush(),
+            Conn::Tcp(s) => s.flush(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1254,45 +1294,5 @@ mod tests {
         let status = client.status().expect("status");
         assert_eq!(status.coalesced_edits, 1, "lifetime gauge: {status:?}");
         daemon.join();
-    }
-}
-
-/// A listener-agnostic connection.
-enum Conn {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Conn {
-    fn set_read_timeout(&mut self, d: Duration) -> io::Result<()> {
-        match self {
-            Conn::Unix(s) => s.set_read_timeout(Some(d)),
-            Conn::Tcp(s) => s.set_read_timeout(Some(d)),
-        }
-    }
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Unix(s) => s.read(buf),
-            Conn::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Unix(s) => s.write(buf),
-            Conn::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Unix(s) => s.flush(),
-            Conn::Tcp(s) => s.flush(),
-        }
     }
 }

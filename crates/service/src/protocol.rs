@@ -1112,12 +1112,14 @@ mod tests {
 
     #[test]
     fn wire_report_flattens_in_process_report() {
-        let mut r = ace_core::ExtractionReport::default();
-        r.boxes = 12;
-        r.bands_reused = 3;
-        r.cache_bytes = 4096;
-        r.coalesced_edits = 2;
-        r.total_time = std::time::Duration::from_micros(7);
+        let r = ace_core::ExtractionReport {
+            boxes: 12,
+            bands_reused: 3,
+            cache_bytes: 4096,
+            coalesced_edits: 2,
+            total_time: std::time::Duration::from_micros(7),
+            ..Default::default()
+        };
         let w = WireReport::from_report(&r);
         assert_eq!(w.boxes, 12);
         assert_eq!(w.bands_reused, 3);

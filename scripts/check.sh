@@ -24,8 +24,8 @@ cargo test --offline -q
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy (incl. clippy::perf)"
-cargo clippy --workspace --offline -- -W clippy::perf -D warnings
+echo "==> cargo clippy (incl. clippy::perf, tests and examples too)"
+cargo clippy --workspace --all-targets --offline -- -W clippy::perf -D warnings
 
 echo "==> cargo doc"
 cargo doc --no-deps --offline
