@@ -13,6 +13,7 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(name), &lib, |b, lib| {
             b.iter(|| {
                 ace_core::extract_library(lib, "chip", ace_core::ExtractOptions::new())
+                    .expect("extraction")
                     .netlist
                     .device_count()
             })

@@ -12,6 +12,7 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(n), &lib, |b, lib| {
             b.iter(|| {
                 ace_core::extract_library(lib, "bhh", ace_core::ExtractOptions::new())
+                    .expect("extraction")
                     .netlist
                     .device_count()
             })

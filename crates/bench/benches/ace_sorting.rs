@@ -19,6 +19,7 @@ fn bench(c: &mut Criterion) {
                 "chip",
                 ace_core::ExtractOptions::new().with_sort(ace_core::SortStrategy::Insertion),
             )
+            .expect("extraction")
             .netlist
             .device_count()
         })
@@ -30,6 +31,7 @@ fn bench(c: &mut Criterion) {
                 "chip",
                 ace_core::ExtractOptions::new().with_sort(ace_core::SortStrategy::Bin),
             )
+            .expect("extraction")
             .netlist
             .device_count()
         })

@@ -16,6 +16,7 @@ fn bench(c: &mut Criterion) {
     g.bench_function("ace_edge_based", |b| {
         b.iter(|| {
             ace_core::extract_library(&lib, "chip", ace_core::ExtractOptions::new())
+                .expect("extraction")
                 .netlist
                 .device_count()
         })

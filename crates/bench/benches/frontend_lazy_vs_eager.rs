@@ -15,6 +15,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let mut feed = ace_layout::LazyFeed::new(&lib);
             ace_core::extract_feed(&mut feed, "chip", ace_core::ExtractOptions::new())
+                .expect("extraction")
                 .netlist
                 .device_count()
         })
@@ -23,6 +24,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let mut feed = ace_layout::EagerFeed::new(&lib);
             ace_core::extract_feed(&mut feed, "chip", ace_core::ExtractOptions::new())
+                .expect("extraction")
                 .netlist
                 .device_count()
         })

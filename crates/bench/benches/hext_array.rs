@@ -19,6 +19,7 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("flat", cells), &lib, |b, lib| {
             b.iter(|| {
                 ace_core::extract_library(lib, "array", ace_core::ExtractOptions::new())
+                    .expect("extraction")
                     .netlist
                     .device_count()
             })

@@ -20,6 +20,7 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("flat", name), &lib, |b, lib| {
             b.iter(|| {
                 ace_core::extract_library(lib, "chip", ace_core::ExtractOptions::new())
+                    .expect("extraction")
                     .netlist
                     .device_count()
             })

@@ -1,7 +1,7 @@
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
-use ace_geom::{Coord, Transform};
+use ace_geom::{Coord, Orientation, Point, Transform};
 
 use crate::database::{CellId, Library};
 use crate::flatten::{FlatLabel, FlatLayout, LayerBox};
@@ -43,12 +43,19 @@ pub struct FeedStats {
     pub boxes_emitted: u64,
     /// Symbol instances expanded (lazy feed only).
     pub instances_expanded: u64,
-    /// High-water mark of the pending queue.
+    /// High-water mark of the pending queue. For the lazy feed that
+    /// is run cursors plus unexpanded instances, bounded by
+    /// placements, not boxes: 400 on the seed-101 riscb proxy, whose
+    /// top cell alone holds 155,720 boxes. The eager feed reports its
+    /// whole sorted box list.
     pub max_pending: usize,
 }
 
 enum PendingKind {
-    Box(LayerBox),
+    /// A cursor into one placed cell's run: the boxes of
+    /// `runs[run][next..]` remain, each translated by `at`.
+    Run { run: usize, next: usize, at: Point },
+    /// A placed instance the scanline has not reached yet.
     Instance(CellId, Transform),
 }
 
@@ -72,12 +79,12 @@ impl PartialOrd for Pending {
 
 impl Ord for Pending {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap on y_top; on ties, instances sort above boxes so
-        // they are expanded before the boxes at that level are
-        // reported.
+        // Max-heap on y_top; on ties, instances sort above run
+        // cursors so they are expanded before the boxes at that level
+        // are reported.
         let rank = |k: &PendingKind| match k {
             PendingKind::Instance(..) => 1u8,
-            PendingKind::Box(_) => 0,
+            PendingKind::Run { .. } => 0,
         };
         self.y_top
             .cmp(&other.y_top)
@@ -94,6 +101,19 @@ impl Ord for Pending {
 /// determine that all geometry inside it is below the scanline. In
 /// this way the complete geometry of the chip is never instantiated
 /// (so never sorted) at the same time." (paper §4.)
+///
+/// **A k-way merge of sorted runs.** A placed cell's own boxes come
+/// from a *run*: the cell's boxes under the placement's orientation
+/// (no translation), sorted once by descending top, then ascending
+/// left edge. A run is built on the first placement of its (cell,
+/// orientation) pair and shared by every later placement, so a cell
+/// has at most eight runs and the feed holds O(library boxes), never
+/// O(chip boxes). The heap holds one cursor per expanded placement
+/// that still has boxes, plus the unexpanded instances; a stop emits
+/// a cursor's prefix at the scanline by translation alone and
+/// advances the cursor in place. Ordering a run by left edge within
+/// each top hands the back-end each stop's boxes in near-ascending x,
+/// which step 2.a's insertion sort rewards.
 ///
 /// **Labels are the exception to laziness.** They used to be
 /// released only when their cell was expanded, which made correct
@@ -125,6 +145,12 @@ impl Ord for Pending {
 pub struct LazyFeed<'a> {
     lib: &'a Library,
     heap: BinaryHeap<Pending>,
+    /// Every run built so far: one (cell, orientation) pair's own
+    /// boxes, oriented but not translated, sorted by descending top
+    /// and then ascending left edge.
+    runs: Vec<Box<[LayerBox]>>,
+    /// Index into `runs` per cell and orientation, once built.
+    run_ids: Vec<[Option<usize>; 8]>,
     new_labels: Vec<FlatLabel>,
     stats: FeedStats,
     probe: &'a dyn Probe,
@@ -142,6 +168,8 @@ impl<'a> LazyFeed<'a> {
         let mut feed = LazyFeed {
             lib,
             heap: BinaryHeap::new(),
+            runs: Vec::new(),
+            run_ids: vec![[None; 8]; lib.cells().len()],
             new_labels: Vec::new(),
             stats: FeedStats::default(),
             probe: &NullProbe,
@@ -200,13 +228,38 @@ impl<'a> LazyFeed<'a> {
         self
     }
 
+    /// The id of `cell`'s run under `orientation`, built and sorted
+    /// on the pair's first placement.
+    fn run_id(&mut self, cell: CellId, orientation: Orientation) -> usize {
+        if let Some(id) = self.run_ids[cell][orientation as usize] {
+            return id;
+        }
+        let oriented = Transform::from_orientation(orientation);
+        let mut run: Vec<LayerBox> = self
+            .lib
+            .cell(cell)
+            .boxes()
+            .iter()
+            .map(|&(layer, r)| LayerBox {
+                layer,
+                rect: oriented.apply_rect(&r),
+            })
+            .collect();
+        run.sort_unstable_by_key(|b| (Reverse(b.rect.y_max), b.rect.x_min));
+        let id = self.runs.len();
+        self.runs.push(run.into_boxed_slice());
+        self.run_ids[cell][orientation as usize] = Some(id);
+        id
+    }
+
     fn push_cell_contents(&mut self, cell: CellId, t: Transform) {
         let c = self.lib.cell(cell);
-        for &(layer, r) in c.boxes() {
-            let rect = t.apply_rect(&r);
+        if !c.boxes().is_empty() {
+            let run = self.run_id(cell, t.orientation());
+            let at = t.translation();
             self.heap.push(Pending {
-                y_top: rect.y_max,
-                kind: PendingKind::Box(LayerBox { layer, rect }),
+                y_top: self.runs[run][0].rect.y_max + at.y,
+                kind: PendingKind::Run { run, next: 0, at },
             });
         }
         // Labels were already collected up front by `collect_labels`;
@@ -227,14 +280,14 @@ impl<'a> LazyFeed<'a> {
         }
     }
 
-    /// Expands instances at the heap top until it is a box (or
+    /// Expands instances at the heap top until it is a run cursor (or
     /// empty). With `bound = Some(y)`, instances whose bounding-box
     /// top is below `y` are left unexpanded — the scanline has not
     /// reached them yet.
     fn settle(&mut self, bound: Option<Coord>) {
         while let Some(top) = self.heap.peek() {
             match top.kind {
-                PendingKind::Box(_) => return,
+                PendingKind::Run { .. } => return,
                 PendingKind::Instance(cell, t) => {
                     if bound.is_some_and(|y| top.y_top < y) {
                         return;
@@ -256,25 +309,45 @@ impl GeometryFeed for LazyFeed<'_> {
     }
 
     fn pop_at(&mut self, y: Coord, out: &mut Vec<LayerBox>) {
-        let mut popped = 0u64;
-        loop {
-            self.settle(Some(y));
-            match self.heap.peek() {
-                Some(p) if p.y_top == y => {
-                    if let Some(Pending {
-                        kind: PendingKind::Box(b),
-                        ..
-                    }) = self.heap.pop()
-                    {
-                        self.stats.boxes_emitted += 1;
-                        popped += 1;
-                        out.push(b);
-                    }
+        // Settling to `y` expands every instance that reaches it, so
+        // the entries at `y` are all run cursors from here on: a
+        // cursor only ever moves down.
+        self.settle(Some(y));
+        let before = out.len();
+        while let Some(mut top) = self.heap.peek_mut() {
+            let PendingKind::Run { run, next, at } = top.kind else {
+                break;
+            };
+            if top.y_top != y {
+                break;
+            }
+            let run_boxes = &self.runs[run];
+            let local_top = y - at.y;
+            let emitted = out.len();
+            out.extend(
+                run_boxes[next..]
+                    .iter()
+                    .take_while(|b| b.rect.y_max == local_top)
+                    .map(|b| LayerBox {
+                        layer: b.layer,
+                        rect: b.rect.translate(at),
+                    }),
+            );
+            let next = next + (out.len() - emitted);
+            match run_boxes.get(next) {
+                // Dropping the advanced cursor sifts it down once.
+                Some(b) => {
+                    top.y_top = b.rect.y_max + at.y;
+                    top.kind = PendingKind::Run { run, next, at };
                 }
-                _ => break,
+                None => {
+                    PeekMut::pop(top);
+                }
             }
         }
+        let popped = (out.len() - before) as u64;
         if popped > 0 {
+            self.stats.boxes_emitted += popped;
             self.probe.add(self.lane, Counter::FeedBoxes, popped);
         }
     }
@@ -478,6 +551,29 @@ mod tests {
         // then top-level T 1000 0 → (1003, 96).
         assert_eq!(labels[0].at, ace_geom::Point::new(1003, 96));
         assert_eq!(feed.stats().instances_expanded, 0);
+    }
+
+    #[test]
+    fn pending_peak_is_bounded_by_placements_not_boxes() {
+        // A top cell with 10,000 own boxes and four placed leaves: the
+        // queue holds one cursor per expanded placement plus the
+        // unexpanded instances, never one entry per box.
+        let mut src = String::from("DS 1; L NP; B 20 20 0 0; L ND; B 40 10 0 0; DF; L NM;");
+        for i in 0..10_000 {
+            src.push_str(&format!(" B 20 20 {} {};", (i % 100) * 40, (i / 100) * 40));
+        }
+        src.push_str(" C 1 T 0 -100; C 1 T 2000 -100; C 1 R 0 1 T 0 5000; C 1 M X T 500 900; E");
+        let lib = Library::from_cif_text(&src).unwrap();
+        let mut feed = LazyFeed::new(&lib);
+        let n = drain_all(&mut feed).len() as u64;
+        assert_eq!(n, 10_008);
+        assert_eq!(feed.stats().boxes_emitted, lib.instantiated_box_count());
+        assert_eq!(feed.stats().instances_expanded, 4);
+        assert!(
+            feed.stats().max_pending < 16,
+            "pending peak {} grew with the box count",
+            feed.stats().max_pending
+        );
     }
 
     #[test]

@@ -175,7 +175,9 @@ pub enum Counter {
     FeedBoxes,
     /// Symbol instances expanded (lazy feed).
     InstancesExpanded,
-    /// High-water mark of the feed's pending queue (gauge).
+    /// High-water mark of the feed's pending queue (gauge): run
+    /// cursors plus unexpanded instances for the lazy feed, the whole
+    /// sorted box list for the eager one.
     PendingPeak,
     // -- HEXT window/compose pipeline --
     /// Primitive windows extracted with the flat engine.

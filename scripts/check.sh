@@ -18,6 +18,12 @@ echo "==> build the benchmark"
 CARGO_TARGET_DIR=target/perfbench cargo build --release --offline --locked \
     --manifest-path perfbench/Cargo.toml
 
+echo "==> compile the criterion benches"
+# crates/bench's criterion harnesses are feature-gated, so neither the
+# build nor the test step compiles them. Compiling them here makes a
+# change to an API a harness calls fail CI, not the next bench run.
+cargo bench --offline -p ace-bench --features bench_harness --no-run
+
 echo "==> cargo test"
 cargo test --offline -q
 

@@ -139,6 +139,43 @@ fn work_stealing_banded_matches_flat_incremental_and_lazy() {
     }
 }
 
+/// The lazy feed hands the sweep each stop's boxes in a different
+/// order than the flat layout's sort does, which the sweep must never
+/// see: extracting a library lazily and extracting its flattening must
+/// write byte-identical wirelists, with and without geometry. The
+/// testram proxy's memory array exercises deep repeated placements.
+#[test]
+fn lazy_and_flat_wirelists_are_byte_identical() {
+    for (name, scale) in [("cherry", 1.0), ("testram", 0.05)] {
+        let spec = paper_chip(name).expect("spec").scaled(scale);
+        let lib = Library::from_cif_text(&generate_chip(&spec).cif).expect("valid");
+        for (options, writer) in [
+            (ExtractOptions::new(), WirelistOptions::new()),
+            (
+                ExtractOptions::new().with_geometry(),
+                WirelistOptions::new().with_geometry(),
+            ),
+        ] {
+            let lazy = extract_library(&lib, name, options).expect("lazy extracts");
+            let flat =
+                extract_flat(FlatLayout::from_library(&lib), name, options).expect("flat extracts");
+            let (a, b) = (
+                write_wirelist(&lazy.netlist, writer),
+                write_wirelist(&flat.netlist, writer),
+            );
+            let first_diff = a.lines().zip(b.lines()).position(|(x, y)| x != y);
+            assert!(
+                a == b,
+                "{name} (geometry {}): lazy and flat wirelists differ \
+                 (first differing line: {first_diff:?}; {} vs {} bytes)",
+                writer.include_geometry,
+                a.len(),
+                b.len()
+            );
+        }
+    }
+}
+
 /// Per-net parasitic totals (area, perimeter, cut area per layer) are
 /// an exact union computation, so all six backends must agree on them
 /// to the last centimicron² — and the totals must survive shuffling
