@@ -9,8 +9,9 @@
 //! edits ([`ace_workloads::edits`]),
 //! re-extracting incrementally after each round and comparing
 //! against a full flat extraction of the same layout under the
-//! harness's comparison policy ([`same_circuit`], census fallback on
-//! multi-terminal channels).
+//! harness's comparison policy ([`same_circuit`], of which only the
+//! device-count and device-key verdicts count on multi-terminal
+//! channels).
 //!
 //! [`same_circuit`]: ace_wirelist::compare::same_circuit
 

@@ -17,9 +17,9 @@
 //! * [`backends`] — the six backends as nameable, instantiable
 //!   units behind [`ace_core::CircuitExtractor`].
 //! * [`harness`] — differential execution and the comparison policy
-//!   (location-keyed [`ace_wirelist::compare::same_circuit`];
-//!   device-census fallback when multi-terminal tie-breaking makes
-//!   wiring comparison unsound).
+//!   ([`ace_wirelist::compare::same_circuit`]; when multi-terminal
+//!   tie-breaking makes the wiring comparison unsound, only its
+//!   device-count and device-key verdicts count).
 //! * [`incremental`] — the edit-loop checker: apply random edits to
 //!   a generated layout and verify `ace_core`'s incremental
 //!   re-extraction against a from-scratch extraction after each.

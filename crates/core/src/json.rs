@@ -4,10 +4,10 @@
 //! the subset of JSON its tools exchange: `null`, booleans, 64-bit
 //! signed integers, strings, arrays, and objects. It is the one JSON
 //! implementation in the workspace: the `aced` wire protocol, the
-//! SARIF emitter and validator, the Chrome-trace sink, and
-//! `service_load`'s bench file all use it. Objects preserve insertion
-//! order, so the same [`Json`] value always serializes to the same
-//! bytes — the property the golden-bytes wire-format test pins.
+//! SARIF emitter and validator, and the Chrome-trace sink all use it.
+//! Objects preserve insertion order, so the same [`Json`] value always
+//! serializes to the same bytes — the property the golden-bytes
+//! wire-format test pins.
 //!
 //! Floating-point numbers are deliberately absent: every quantity
 //! (coordinates, counters, nanoseconds, line numbers) is an integer,

@@ -168,8 +168,10 @@ impl CounterProbe {
     /// Phase times are summed over lanes (CPU work, not wall clock);
     /// `total_time` is the main lane's [`Span::Extract`] duration, and
     /// band lanes become [`BandReport`]s. The stitch counters fill
-    /// [`StitchStats`]. The caller still owns fields the probe cannot
-    /// know, such as `threads` for a parallel run.
+    /// [`StitchStats`]; `lint_time` and `drc_time` are the
+    /// [`Span::Lint`] and [`Span::Drc`] durations. The caller still
+    /// owns fields the probe cannot know, such as `threads` for a
+    /// parallel run.
     pub fn report(&self) -> ExtractionReport {
         let mut report = ExtractionReport {
             boxes: self.total(Counter::Boxes),
@@ -213,9 +215,9 @@ impl CounterProbe {
         report.bands_stolen = self.total(Counter::BandsStolen);
         report.steal_wait = Duration::from_nanos(self.total(Counter::StealWaitNs));
         report.lints_emitted = self.total(Counter::LintsEmitted);
-        report.lint_time = Duration::from_nanos(self.total(Counter::LintTimeNs));
+        report.lint_time = self.span_time(Span::Lint);
         report.drc_violations = self.total(Counter::DrcViolations);
-        report.drc_time = Duration::from_nanos(self.total(Counter::DrcTimeNs));
+        report.drc_time = self.span_time(Span::Drc);
         report.bands_reused = self.total(Counter::BandsReused);
         report.bands_reswept = self.total(Counter::BandsReswept);
         report.cache_bytes = self.peak(Counter::CacheBytes);

@@ -58,18 +58,10 @@ pub struct ExtractOptions {
     /// Request an ERC lint pass over the extracted circuit. The
     /// extractor itself never runs lints (the rule engine lives above
     /// it, in `ace_lint`); this flag is honored by `ace_lint`'s
-    /// `extract_*_linted` wrappers and the `acelint` CLI, which fold
-    /// the pass's `LintsEmitted` / `LintTimeNs` counters back into
-    /// the [`ExtractionReport`] they return.
+    /// `extract_*_linted` wrappers (which the `acelint` CLI calls),
+    /// which fold the pass's `Lint` span and `LintsEmitted` counter
+    /// back into the [`ExtractionReport`] they return.
     pub lints: bool,
-    /// Request a geometric DRC pass over the flat mask geometry. Like
-    /// [`lints`](Self::lints), the extractor itself never checks
-    /// design rules (the checker lives above it, in `ace_drc`); this
-    /// flag is honored by `ace_drc::check_extraction` and the
-    /// `acedrc` CLI, which report the pass's `DrcViolations` /
-    /// `DrcTimeNs` counters to the probe; a `CounterProbe`'s
-    /// [`ExtractionReport`] view carries them.
-    pub drc: bool,
 }
 
 impl ExtractOptions {
@@ -119,13 +111,6 @@ impl ExtractOptions {
     /// [`ExtractOptions::lints`]).
     pub fn with_lints(mut self) -> Self {
         self.lints = true;
-        self
-    }
-
-    /// Requests a geometric DRC pass after extraction (see
-    /// [`ExtractOptions::drc`]).
-    pub fn with_drc(mut self) -> Self {
-        self.drc = true;
         self
     }
 }
@@ -287,7 +272,7 @@ pub struct ExtractionReport {
     /// Wall-clock time spent in the lint pass.
     pub lint_time: Duration,
     /// Violations emitted by the geometric DRC pass (zero when no
-    /// DRC pass ran — see [`ExtractOptions::with_drc`]).
+    /// DRC pass ran; `ace_drc::check_extraction` reports them).
     pub drc_violations: u64,
     /// Wall-clock time spent in the DRC pass.
     pub drc_time: Duration,
@@ -398,17 +383,14 @@ mod tests {
         assert_eq!(o.window, None);
         assert_eq!(o.threads, None);
         assert!(!o.lints);
-        assert!(!o.drc);
         let o = o
             .with_geometry()
             .with_sort(SortStrategy::Bin)
             .with_window(Rect::new(0, 0, 10, 10))
             .with_threads(4)
-            .with_lints()
-            .with_drc();
+            .with_lints();
         assert!(o.geometry_output);
         assert!(o.lints);
-        assert!(o.drc);
         assert_eq!(o.sort, SortStrategy::Bin);
         assert_eq!(o.window, Some(Rect::new(0, 0, 10, 10)));
         assert_eq!(o.threads, Some(4));

@@ -6,10 +6,10 @@
 //!   sorted list of structured [`Violation`]s.
 //! * [`check`] — the same, rendered to [`ace_lint::Diagnostic`]s with
 //!   a [`LintConfig`]'s severity overrides applied.
-//! * [`check_extraction`] — timed and reported: bumps the
-//!   [`Counter::DrcViolations`] / [`Counter::DrcTimeNs`] probe
-//!   counters, which a [`ace_core::CounterProbe`]'s report view
-//!   carries as `drc_violations` / `drc_time`.
+//! * [`check_extraction`] — traced and reported: brackets the check
+//!   in a [`Span::Drc`] and bumps the [`Counter::DrcViolations`]
+//!   probe counter, which a [`ace_core::CounterProbe`]'s report view
+//!   carries as `drc_time` / `drc_violations`.
 //!
 //! Every check reduces each layer to its *canonical cover* (the
 //! decomposition-invariant maximal-strip form of
@@ -18,12 +18,11 @@
 //! the artwork was fractured into boxes.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use ace_geom::{
     intersect_boxes, merge_boxes, subtract_boxes, Coord, Layer, LayerMap, Rect, RectIndex,
 };
-use ace_layout::probe::{Counter, Lane, Probe};
+use ace_layout::probe::{Counter, Lane, Probe, Span};
 use ace_layout::FlatLayout;
 use ace_lint::{sort_diagnostics, Diagnostic, LintConfig, LintSpan, RuleId};
 
@@ -383,20 +382,19 @@ pub fn check(layout: &FlatLayout, deck: &RuleDeck, config: &LintConfig) -> Vec<D
     diags
 }
 
-/// [`check`] as an extraction's DRC pass: times the pass and bumps the
-/// [`Counter::DrcViolations`] / [`Counter::DrcTimeNs`] probe counters
-/// on [`Lane::MAIN`].
+/// [`check`] as an extraction's DRC pass, recorded on [`Lane::MAIN`]:
+/// the probe sees a [`Span::Drc`] around it and then
+/// [`Counter::DrcViolations`].
 pub fn check_extraction(
     layout: &FlatLayout,
     deck: &RuleDeck,
     config: &LintConfig,
     probe: &dyn Probe,
 ) -> Vec<Diagnostic> {
-    let start = Instant::now();
+    probe.enter(Lane::MAIN, Span::Drc);
     let diagnostics = check(layout, deck, config);
-    let elapsed = start.elapsed();
+    probe.exit(Lane::MAIN, Span::Drc);
     probe.add(Lane::MAIN, Counter::DrcViolations, diagnostics.len() as u64);
-    probe.add(Lane::MAIN, Counter::DrcTimeNs, elapsed.as_nanos() as u64);
     diagnostics
 }
 

@@ -126,6 +126,11 @@ impl Ord for Pending {
 /// that skips label-free subtrees — geometry stays lazy, labels
 /// don't.
 ///
+/// Construction does no work: the label walk and the root cell's
+/// expansion (its run sort) run on the first [`GeometryFeed`] call,
+/// so a caller that brackets those calls in a front-end span times
+/// the whole front end.
+///
 /// # Examples
 ///
 /// ```
@@ -144,6 +149,8 @@ impl Ord for Pending {
 /// ```
 pub struct LazyFeed<'a> {
     lib: &'a Library,
+    /// The cell to expand on the first call into the feed; taken then.
+    root: Option<CellId>,
     heap: BinaryHeap<Pending>,
     /// Every run built so far: one (cell, orientation) pair's own
     /// boxes, oriented but not translated, sorted by descending top
@@ -165,8 +172,9 @@ impl<'a> LazyFeed<'a> {
 
     /// Creates a feed over one specific cell.
     pub fn over_cell(lib: &'a Library, cell: CellId) -> Self {
-        let mut feed = LazyFeed {
+        LazyFeed {
             lib,
+            root: Some(cell),
             heap: BinaryHeap::new(),
             runs: Vec::new(),
             run_ids: vec![[None; 8]; lib.cells().len()],
@@ -174,11 +182,17 @@ impl<'a> LazyFeed<'a> {
             stats: FeedStats::default(),
             probe: &NullProbe,
             lane: Lane::MAIN,
-        };
-        let mut has_labels = vec![None; lib.cells().len()];
-        feed.collect_labels(cell, Transform::identity(), &mut has_labels);
-        feed.push_cell_contents(cell, Transform::identity());
-        feed
+        }
+    }
+
+    /// Collects every label and expands the root cell, on the first
+    /// call into the feed only.
+    fn start(&mut self) {
+        if let Some(cell) = self.root.take() {
+            let mut has_labels = vec![None; self.lib.cells().len()];
+            self.collect_labels(cell, Transform::identity(), &mut has_labels);
+            self.push_cell_contents(cell, Transform::identity());
+        }
     }
 
     /// Whether `cell` or anything it instantiates carries a label,
@@ -304,11 +318,13 @@ impl<'a> LazyFeed<'a> {
 
 impl GeometryFeed for LazyFeed<'_> {
     fn peek_top(&mut self) -> Option<Coord> {
+        self.start();
         self.settle(None);
         self.heap.peek().map(|p| p.y_top)
     }
 
     fn pop_at(&mut self, y: Coord, out: &mut Vec<LayerBox>) {
+        self.start();
         // Settling to `y` expands every instance that reaches it, so
         // the entries at `y` are all run cursors from here on: a
         // cursor only ever moves down.
@@ -353,6 +369,7 @@ impl GeometryFeed for LazyFeed<'_> {
     }
 
     fn drain_new_labels(&mut self, out: &mut Vec<FlatLabel>) {
+        self.start();
         out.append(&mut self.new_labels);
     }
 
@@ -528,6 +545,26 @@ mod tests {
         assert_eq!(y, -495);
         feed.drain_new_labels(&mut labels);
         assert_eq!(labels.len(), 2, "expansion must not re-emit labels");
+    }
+
+    #[test]
+    fn construction_defers_the_root_expansion_to_the_first_call() {
+        let lib = Library::from_cif_text(
+            "DS 1; L ND; B 10 10 0 0; 94 sig 0 0; DF; C 1 T 0 -500; 94 top 5 5; L NM; B 10 10 0 0; E",
+        )
+        .unwrap();
+        let mut feed = LazyFeed::new(&lib);
+        assert_eq!(feed.stats(), FeedStats::default());
+        assert!(feed.heap.is_empty() && feed.runs.is_empty() && feed.new_labels.is_empty());
+        let mut labels = Vec::new();
+        feed.drain_new_labels(&mut labels);
+        assert_eq!(labels.len(), 2, "{labels:?}");
+        assert_eq!(
+            feed.stats().max_pending,
+            2,
+            "the root's run plus its instance"
+        );
+        assert_eq!(feed.stats().instances_expanded, 0);
     }
 
     #[test]

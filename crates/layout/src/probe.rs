@@ -61,7 +61,7 @@ impl fmt::Display for Lane {
 ///
 /// The four sweep phases ([`Span::FrontEnd`] … [`Span::Output`])
 /// reproduce the paper's §5 time distribution; the rest bracket the
-/// pipeline stages around them.
+/// pipeline stages around them and the signoff passes after them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Span {
     /// One whole extraction run (entered once per lane).
@@ -85,11 +85,15 @@ pub enum Span {
     Compose,
     /// One raster-baseline grid scan.
     Raster,
+    /// One ERC lint pass over an extraction (`ace_lint`).
+    Lint,
+    /// One geometric design-rule check (`ace_drc`).
+    Drc,
 }
 
 impl Span {
     /// All spans, in declaration order.
-    pub const ALL: [Span; 10] = [
+    pub const ALL: [Span; 12] = [
         Span::Extract,
         Span::FrontEnd,
         Span::Insert,
@@ -100,6 +104,8 @@ impl Span {
         Span::Window,
         Span::Compose,
         Span::Raster,
+        Span::Lint,
+        Span::Drc,
     ];
 
     /// Stable kebab-case name (used as the Chrome-trace event name).
@@ -115,6 +121,8 @@ impl Span {
             Span::Window => "window",
             Span::Compose => "compose",
             Span::Raster => "raster-scan",
+            Span::Lint => "lint",
+            Span::Drc => "drc",
         }
     }
 }
@@ -198,13 +206,9 @@ pub enum Counter {
     // -- lint pass (ace_lint) --
     /// Diagnostics emitted by the ERC lint pass.
     LintsEmitted,
-    /// Wall-clock nanoseconds spent in the lint pass.
-    LintTimeNs,
     // -- drc pass (ace_drc) --
     /// Violations emitted by the geometric DRC pass.
     DrcViolations,
-    /// Wall-clock nanoseconds spent in the DRC pass.
-    DrcTimeNs,
     // -- service layer (aced) --
     /// Queued edit-diffs merged into an already-scheduled sweep, so
     /// they rode along for free instead of paying their own re-sweep.
@@ -244,9 +248,7 @@ impl Counter {
             Counter::RunsVisited => "runs-visited",
             Counter::CellsVisited => "cells-visited",
             Counter::LintsEmitted => "lints-emitted",
-            Counter::LintTimeNs => "lint-time-ns",
             Counter::DrcViolations => "drc-violations",
-            Counter::DrcTimeNs => "drc-time-ns",
             Counter::CoalescedEdits => "coalesced-edits",
         }
     }

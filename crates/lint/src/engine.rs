@@ -5,19 +5,18 @@
 //!
 //! * [`lint`] — pure function from `(netlist, layout, config)` to a
 //!   sorted diagnostic list.
-//! * [`lint_extraction`] — the same over an extraction, but timed
-//!   and reported: bumps the [`Counter::LintsEmitted`] /
-//!   [`Counter::LintTimeNs`] probe counters.
+//! * [`lint_extraction`] — the same over an extraction, but traced
+//!   and reported: brackets the pass in a [`Span::Lint`] and bumps
+//!   the [`Counter::LintsEmitted`] probe counter.
 //! * [`extract_library_linted`] / [`extract_text_linted`] — extract
 //!   then lint in one call, honouring
 //!   [`ace_core::ExtractOptions::lints`].
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Instant;
 
 use ace_core::{extract_library_probed, CounterProbe, ExtractError, ExtractOptions, Extraction};
 use ace_geom::{Layer, LayerMap, Point, Rect, RectIndex};
-use ace_layout::probe::{Counter, Lane, Probe};
+use ace_layout::probe::{Counter, Lane, Probe, Span};
 use ace_layout::{FlatLayout, Library, NullProbe};
 use ace_wirelist::{Device, DeviceDim, DeviceKind, NetId, Netlist};
 
@@ -471,20 +470,19 @@ pub struct Linted {
     pub diagnostics: Vec<Diagnostic>,
 }
 
-/// Lints an existing extraction, timing the pass and recording it:
-/// the probe receives [`Counter::LintsEmitted`] and
-/// [`Counter::LintTimeNs`] on [`Lane::MAIN`].
+/// Lints an existing extraction, recording the pass on [`Lane::MAIN`]:
+/// the probe sees a [`Span::Lint`] around it and then
+/// [`Counter::LintsEmitted`].
 pub fn lint_extraction(
     extraction: &Extraction,
     layout: &FlatLayout,
     config: &LintConfig,
     probe: &dyn Probe,
 ) -> Vec<Diagnostic> {
-    let start = Instant::now();
+    probe.enter(Lane::MAIN, Span::Lint);
     let diagnostics = lint(&extraction.netlist, layout, config);
-    let elapsed = start.elapsed();
+    probe.exit(Lane::MAIN, Span::Lint);
     probe.add(Lane::MAIN, Counter::LintsEmitted, diagnostics.len() as u64);
-    probe.add(Lane::MAIN, Counter::LintTimeNs, elapsed.as_nanos() as u64);
     diagnostics
 }
 

@@ -1199,25 +1199,30 @@ mod tests {
             WirelistOptions::new(),
         );
 
-        // Hold the write lock past the deadline: the drain job cannot
-        // collect the parked edit before the client gives up.
+        // Hold the write lock past two deadlines: the drain job cannot
+        // collect the parked edit before the client gives up, and the
+        // client's retry of the same seq, still blocked, times out as
+        // well. Both cancelled entries park in one batch.
         let state = daemon.inner.store.checkout("s").expect("session");
         let guard = state.write.lock().unwrap();
-        let err = expect_service_error(
-            client
-                .edit_diff_seq("s", Some(1), &diff)
-                .expect_err("must time out"),
-        );
-        assert_eq!(err.code, ErrorCode::Timeout);
+        for attempt in 1..=2 {
+            let err = expect_service_error(
+                client
+                    .edit_diff_seq("s", Some(1), &diff)
+                    .expect_err("must time out"),
+            );
+            assert_eq!(err.code, ErrorCode::Timeout, "attempt {attempt}");
+        }
+        assert_eq!(state.pending_len(), 2, "both attempts must park");
         drop(guard);
 
-        // The drain now runs and must *discard* the timed-out edit —
-        // its client was already told to retry.
+        // The drains now run and must *discard* both timed-out
+        // entries — their client was already told to retry.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while state.pending_len() > 0 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert_eq!(state.pending_len(), 0, "drain must collect the stale edit");
+        assert_eq!(state.pending_len(), 0, "drain must collect the stale edits");
 
         // The retry with the same seq is the FIRST application…
         let retried = client

@@ -28,7 +28,7 @@
 //!   with `queue-full` backpressure, per-request deadlines, and
 //!   cooperative SIGTERM shutdown.
 //! * [`client`] — a blocking typed client used by `aced-client`, the
-//!   `service_load` load generator, and tests.
+//!   `service_load --smoke` check, the benchmark, and tests.
 //!
 //! # Examples
 //!

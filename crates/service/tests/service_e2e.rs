@@ -141,6 +141,8 @@ fn daemon_drc_matches_in_process_checker() {
         assert_eq!(wire_d.to_diagnostic().primary, oracle_d.primary);
     }
     assert_eq!(report.drc_violations, oracle_diags.len() as i64);
+    // The check's `drc` span reaches the wire as its time.
+    assert!(report.drc_time_ns > 0, "{report:?}");
 
     // A custom deck travels as text and changes the verdict: with the
     // metal minimum relaxed to 250 the sliver is legal.

@@ -107,19 +107,13 @@ echo "==> parasitic conformance smoke (seed 1983, 64 cases)"
 # checked against the brute-force coordinate-compression oracle.
 target/release/conformance --seed 1983 --cases 64 --parasitics --quiet
 
-echo "==> parallel timing smoke"
-# Prints flat and banded wall times but gates only what no host can
-# skew: the banded run must be the same circuit as the flat sweep and
-# must report more than one band and more than one worker. Wall times
-# are never gated. Writes no file.
-cargo build --release --offline -p ace-bench
-target/release/parallel_timing --smoke
-
 echo "==> aced service smoke"
-# Starts the daemon on a throwaway socket, runs the load generator's
-# smoke mode against it (4 concurrent clients; every wire answer must
-# match the in-process extractor), then asserts a clean SIGTERM
-# shutdown: exit 0 and the socket file unlinked.
+# Starts the daemon on a throwaway socket, runs service_load --smoke
+# against it (4 concurrent clients; every wire answer must match the
+# in-process extractor), then asserts a clean SIGTERM shutdown: exit 0
+# and the socket file unlinked. service_load lives in ace-bench, which
+# is not a default workspace member, so the build above skips it.
+cargo build --release --offline -p ace-bench
 aced_sock=$(mktemp -u /tmp/aced-check-XXXXXX.sock)
 target/release/aced --socket "$aced_sock" &
 aced_pid=$!
@@ -135,14 +129,6 @@ kill -TERM "$aced_pid"
 wait "$aced_pid" || { echo "aced did not exit cleanly on SIGTERM" >&2; exit 1; }
 trap - EXIT
 [ ! -e "$aced_sock" ] || { echo "aced left $aced_sock behind" >&2; exit 1; }
-
-echo "==> aced fault-injection smoke"
-# In-process daemons driven through the public wire API: a slow writer
-# dribbling a frame byte-by-byte must be served (not dropped), and an
-# edit-diff that times out behind a cold sweep must, when retried with
-# the same sequence number, apply exactly once (checked against a
-# single-apply oracle).
-target/release/service_load --faults
 
 echo "==> aced queue-full retry smoke"
 # A one-worker daemon with a one-slot queue refuses overflow with

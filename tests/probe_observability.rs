@@ -1,7 +1,8 @@
 //! The probe layer's external contract: an outside `CounterProbe`
 //! sees exactly the event stream the extractor's own report is built
 //! from, the Chrome-trace sink emits a well-formed timeline with one
-//! lane per band, and the summary sink's percentages add up.
+//! lane per band, the lint and DRC passes are spans on it too, and
+//! the summary sink's percentages add up.
 
 use ace::core::json::Json;
 use ace::prelude::*;
@@ -170,6 +171,41 @@ fn chrome_trace_schema_is_valid_for_a_banded_run() {
     for lane in ["ace", "main", "band 0"] {
         assert!(lane_names.iter().any(|n| n == lane), "{lane} unnamed");
     }
+}
+
+#[test]
+fn lint_and_drc_passes_are_traced_as_spans() {
+    let lib = Library::from_cif_text(&inverter_cif()).expect("valid CIF");
+    let flat = FlatLayout::from_library(&lib);
+    let extraction = extract_library(&lib, "inv", ExtractOptions::new()).expect("extracts");
+    let trace = ChromeTraceProbe::new();
+    let counters = CounterProbe::new();
+    let tee = (&trace, &counters);
+    let config = LintConfig::new();
+    let diagnostics = lint_extraction(&extraction, &flat, &config, &tee);
+    let violations = drc_check_extraction(&flat, &RuleDeck::nmos(), &config, &tee);
+
+    // One balanced begin/end pair per pass, on the main lane.
+    let events: Vec<(char, &str)> = trace
+        .events()
+        .iter()
+        .map(|e| {
+            assert_eq!(e.tid, Lane::MAIN.0, "{e:?}");
+            (e.phase, e.name)
+        })
+        .collect();
+    assert_eq!(
+        events,
+        [('B', "lint"), ('E', "lint"), ('B', "drc"), ('E', "drc")]
+    );
+
+    // The report's pass times are those spans' durations.
+    let report = counters.report();
+    assert_eq!(report.lints_emitted, diagnostics.len() as u64);
+    assert_eq!(report.drc_violations, violations.len() as u64);
+    assert_eq!(report.lint_time, counters.span_time(Span::Lint));
+    assert_eq!(report.drc_time, counters.span_time(Span::Drc));
+    assert!(report.lint_time.as_nanos() > 0 && report.drc_time.as_nanos() > 0);
 }
 
 #[test]
