@@ -1,8 +1,9 @@
 //! Differential execution and comparison.
 //!
 //! One layout goes through every selected backend via
-//! [`CircuitExtractor::extract_probed`]; the results are compared
-//! pairwise against the reference (always `ace-flat`, pinned first by
+//! [`CircuitExtractor::extract_probed`](ace_core::CircuitExtractor::extract_probed);
+//! the results are compared pairwise against the reference (always
+//! `ace-flat`, pinned first by
 //! [`crate::backends::parse_backend_list`]).
 //!
 //! # Comparison policy

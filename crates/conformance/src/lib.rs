@@ -37,7 +37,7 @@
 //! * `grid` — the one coordinate-compressed grid both brute-force
 //!   oracles ([`parasitics`], [`drc`]) color; it shares no code with
 //!   the interval machinery of the checkers they judge.
-//! * [`shrink`] — oracle-driven delta debugging of divergent
+//! * [`shrink`](mod@shrink) — oracle-driven delta debugging of divergent
 //!   layouts: drop boxes, shrink extents, flatten symbols,
 //!   re-λ-align, normalize.
 //! * [`runner`] — the fuzz loop tying the above together, writing

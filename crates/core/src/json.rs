@@ -175,6 +175,7 @@ impl Json {
             depth: 0,
             items: Vec::new(),
             members: Vec::new(),
+            by_key: Vec::new(),
         };
         p.skip_ws();
         let value = p.value()?;
@@ -230,9 +231,13 @@ struct Parser<'a> {
     depth: usize,
     /// Elements and members of the open arrays and objects, innermost
     /// last. A container is moved out with exactly its length, so a
-    /// parsed tree carries no growth slack.
+    /// parsed tree carries no growth slack. Each member also keeps
+    /// the offset just past its key, where a duplicate is reported.
     items: Vec<Json>,
-    members: Vec<(String, Json)>,
+    members: Vec<(String, Json, usize)>,
+    /// Scratch for the duplicate-key check: one object's members as
+    /// (key prefix, index) pairs, sorted by key.
+    by_key: Vec<(u64, usize)>,
 }
 
 impl<'a> Parser<'a> {
@@ -431,14 +436,12 @@ impl<'a> Parser<'a> {
             loop {
                 self.skip_ws();
                 let key = self.string()?;
-                if self.members[start..].iter().any(|(k, _)| *k == key) {
-                    return Err(self.error(format!("duplicate key '{key}'")));
-                }
+                let key_end = self.pos;
                 self.skip_ws();
                 self.eat(b':')?;
                 self.skip_ws();
                 let value = self.value()?;
-                self.members.push((key, value));
+                self.members.push((key, value, key_end));
                 self.skip_ws();
                 match self.peek() {
                     Some(b',') => self.pos += 1,
@@ -447,9 +450,60 @@ impl<'a> Parser<'a> {
                 }
             }
         }
+        self.refuse_duplicate_keys(start)?;
         self.pos += 1;
-        Ok(Json::Obj(self.members.drain(start..).collect()))
+        Ok(Json::Obj(
+            self.members
+                .drain(start..)
+                .map(|(k, v, _)| (k, v))
+                .collect(),
+        ))
     }
+
+    /// Refuses the object whose members start at `start` if a key
+    /// repeats, naming the repeat that comes first in the text. Sorts
+    /// the members by key in the reused `by_key`: O(n log n) and no
+    /// allocation once warm.
+    fn refuse_duplicate_keys(&mut self, start: usize) -> Result<(), JsonError> {
+        let members = &self.members[start..];
+        self.by_key.clear();
+        self.by_key.extend(
+            members
+                .iter()
+                .enumerate()
+                .map(|(i, (k, ..))| (prefix(k), i)),
+        );
+        // Whole keys are compared only where 8-byte prefixes tie. Equal
+        // keys end up adjacent with ascending indices, so each such
+        // pair's second index is a repeat; the smallest is the first.
+        self.by_key.sort_unstable_by(|&(pa, a), &(pb, b)| {
+            pa.cmp(&pb)
+                .then_with(|| members[a].0.cmp(&members[b].0))
+                .then(a.cmp(&b))
+        });
+        let first_repeat = self
+            .by_key
+            .windows(2)
+            .filter(|w| w[0].0 == w[1].0 && members[w[0].1].0 == members[w[1].1].0)
+            .map(|w| w[1].1)
+            .min();
+        match first_repeat {
+            None => Ok(()),
+            Some(i) => Err(JsonError {
+                at: members[i].2,
+                message: format!("duplicate key '{}'", members[i].0),
+            }),
+        }
+    }
+}
+
+/// A key's first 8 bytes as a big-endian integer, zero-padded: a cheap
+/// first sort key that orders most keys without comparing them whole.
+fn prefix(key: &str) -> u64 {
+    let mut bytes = [0u8; 8];
+    let n = key.len().min(8);
+    bytes[..n].copy_from_slice(&key.as_bytes()[..n]);
+    u64::from_be_bytes(bytes)
 }
 
 #[cfg(test)]
@@ -532,6 +586,31 @@ mod tests {
                 err.message
             );
         }
+    }
+
+    #[test]
+    fn duplicate_keys_are_refused_wherever_they_repeat() {
+        let many: String = (0..10_000).map(|i| format!("\"k{i}\":{i},")).collect();
+        for (text, key) in [
+            (r#"{"k":1,"k":2,"a":3,"b":4}"#.to_string(), "k"),
+            (r#"{"a":1,"k":2,"k":3,"b":4}"#.to_string(), "k"),
+            (r#"{"a":1,"b":2,"k":3,"k":4}"#.to_string(), "k"),
+            (r#"{"k":1,"a":2,"b":3,"k":4}"#.to_string(), "k"),
+            (r#"{"a":1,"o":{"x":1,"y":2,"x":3},"b":2}"#.to_string(), "x"),
+            (format!("{{{many}\"k0\":0}}"), "k0"),
+            // Two keys repeat: the repeat that comes first is named.
+            (r#"{"a":1,"b":2,"b":3,"a":4}"#.to_string(), "b"),
+        ] {
+            let err = Json::parse(&text).unwrap_err();
+            assert_eq!(err.message, format!("duplicate key '{key}'"), "{text:.80}");
+            // Reported just past the repeated key.
+            let quoted = format!("\"{key}\"");
+            let second = text.rfind(&quoted).unwrap() + quoted.len();
+            assert_eq!(err.at, second, "{text:.80}");
+        }
+        // The same key in sibling objects is no duplicate.
+        let ok = Json::parse(r#"{"o":{"x":1},"p":{"x":2},"x":3}"#).unwrap();
+        assert_eq!(ok.get("x").and_then(Json::as_int), Some(3));
     }
 
     #[test]

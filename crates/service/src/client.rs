@@ -14,7 +14,7 @@
 //! [`ErrorCode`](crate::protocol::ErrorCode).
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
@@ -23,7 +23,7 @@ use ace_core::ExtractOptions;
 use ace_layout::LayoutDiff;
 use ace_lint::LintConfig;
 
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{read_frame, write_frame, Stream};
 use crate::protocol::{
     decode_response, encode_request, ExtractResult, NetInfo, ProtoError, Request, Response,
     ServiceError, ServiceStatus, WireDiagnostic, WireReport,
@@ -32,7 +32,7 @@ use crate::protocol::{
 /// Why a call failed.
 #[derive(Debug)]
 pub enum ClientError {
-    /// Transport failure (connect, read, write, unexpected EOF).
+    /// Connection failure (connect, read, write, unexpected EOF).
     Io(io::Error),
     /// The daemon answered, but the answer was malformed or out of
     /// sync with the request.
@@ -65,39 +65,9 @@ impl From<ProtoError> for ClientError {
     }
 }
 
-enum Transport {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Read for Transport {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Transport::Unix(s) => s.read(buf),
-            Transport::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Transport {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Transport::Unix(s) => s.write(buf),
-            Transport::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Transport::Unix(s) => s.flush(),
-            Transport::Tcp(s) => s.flush(),
-        }
-    }
-}
-
 /// A blocking `aced` connection.
 pub struct Client {
-    transport: Transport,
+    stream: Stream,
     next_id: i64,
 }
 
@@ -109,7 +79,7 @@ impl Client {
     /// Propagates connect failures.
     pub fn connect_unix(path: &Path) -> io::Result<Client> {
         Ok(Client {
-            transport: Transport::Unix(UnixStream::connect(path)?),
+            stream: Stream::Unix(UnixStream::connect(path)?),
             next_id: 1,
         })
     }
@@ -125,7 +95,7 @@ impl Client {
         // Nagle on costs a delayed-ACK stall per request.
         stream.set_nodelay(true)?;
         Ok(Client {
-            transport: Transport::Tcp(stream),
+            stream: Stream::Tcp(stream),
             next_id: 1,
         })
     }
@@ -142,8 +112,8 @@ impl Client {
     pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        write_frame(&mut self.transport, &encode_request(id, request))?;
-        let payload = read_frame(&mut self.transport)?.ok_or_else(|| {
+        write_frame(&mut self.stream, &encode_request(id, request))?;
+        let payload = read_frame(&mut self.stream)?.ok_or_else(|| {
             ClientError::Io(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "daemon closed the connection",

@@ -36,19 +36,25 @@
 //! becomes the response's per-request [`WireReport`], and `status`
 //! reads the pool's lifetime counters plus the store's gauges.
 //!
-//! Shutdown is cooperative: `shutdown()` (or SIGTERM via
-//! [`crate::signal`]) flips one flag; accept loops notice within one
-//! poll interval, connection threads answer in-flight reads with
+//! Sockets block; nothing polls. Shutdown (`shutdown()`, or SIGTERM
+//! via [`crate::signal`] and [`run_until`](Daemon::run_until)) sets
+//! one flag and then half-closes, for reading, a second handle on
+//! every socket a thread blocks on: a listener's blocked `accept`
+//! fails, and a connection's blocked read sees EOF while an answer
+//! being written still goes out. Requests already dispatched get
+//! their answers, requests decoded after the flag get
 //! `shutting-down`, and the pool drains its queues before the daemon
 //! joins every thread.
 
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::OwnedFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ace_core::{
@@ -60,12 +66,12 @@ use ace_lint::lint_extraction;
 use ace_wirelist::parasitics::{net_capacitance_af, net_resistance_mohm, ParasiticParams};
 use ace_wirelist::{write_wirelist, WirelistOptions};
 
-use crate::frame::write_frame;
+use crate::frame::{read_frame, write_frame, Stream};
 use crate::protocol::{
     decode_request, encode_response, ErrorCode, ExtractResult, NetInfo, Request, Response,
     ServiceError, ServiceStatus, WireDiagnostic, WireReport,
 };
-use crate::session::{shard_of, PendingEdit, SessionState, SessionStore, Snapshot};
+use crate::session::{shard_of, PendingEdit, SessionState, SessionStore, Snapshot, WriteHalf};
 
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
@@ -97,8 +103,8 @@ impl Default for ServiceConfig {
     }
 }
 
-/// How often accept loops and idle connection reads poll the
-/// shutdown flag.
+/// How often [`Daemon::run_until`] checks its stop flag: a signal
+/// handler can only store to an atomic, so nothing wakes the waiter.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// The retry hint attached to `queue-full` responses, in
@@ -112,7 +118,10 @@ struct Inner {
     store: SessionStore,
     pool: Mutex<Option<WorkerPool>>,
     shutdown: AtomicBool,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Accept loops and connection threads to join, each beside a
+    /// second handle on the socket it blocks on, for shutdown to
+    /// half-close.
+    threads: Mutex<Vec<(JoinHandle<()>, Stream)>>,
     /// Unix socket paths to unlink when the daemon stops.
     socket_paths: Mutex<Vec<PathBuf>>,
     /// Lifetime count of edits that rode along with another edit's
@@ -154,9 +163,14 @@ impl Daemon {
     }
 
     /// Requests a cooperative shutdown (idempotent, returns
-    /// immediately; pair with [`join`](Daemon::join)).
+    /// immediately; pair with [`join`](Daemon::join)): sets the flag
+    /// and half-closes every listener and live connection for reading.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
+        // `Read`, not `Both`: an answer being written still goes out.
+        for (_, socket) in self.inner.threads.lock().unwrap().iter() {
+            let _ = socket.shutdown(Shutdown::Read);
+        }
     }
 
     /// Listens on a Unix socket at `path` (a stale socket file from a
@@ -171,18 +185,17 @@ impl Daemon {
             std::fs::remove_file(path)?;
         }
         let listener = UnixListener::bind(path)?;
-        listener.set_nonblocking(true)?;
         self.inner
             .socket_paths
             .lock()
             .unwrap()
             .push(path.to_path_buf());
-        let daemon = self.clone();
-        let handle = std::thread::Builder::new()
-            .name("aced-accept-unix".into())
-            .spawn(move || daemon.accept_loop_unix(listener))
-            .expect("spawn accept loop");
-        self.inner.threads.lock().unwrap().push(handle);
+        // std has `shutdown` on streams only, so the handle shutdown
+        // half-closes wraps the listener's descriptor as one.
+        let socket = Stream::Unix(UnixStream::from(OwnedFd::from(listener.try_clone()?)));
+        self.spawn_tracked("aced-accept", socket, move |daemon| {
+            daemon.accept_loop(|| Ok(Stream::Unix(listener.accept()?.0)))
+        });
         Ok(())
     }
 
@@ -196,13 +209,16 @@ impl Daemon {
     pub fn serve_tcp(&self, addr: &str) -> io::Result<SocketAddr> {
         let listener = TcpListener::bind(addr)?;
         let bound = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let daemon = self.clone();
-        let handle = std::thread::Builder::new()
-            .name("aced-accept-tcp".into())
-            .spawn(move || daemon.accept_loop_tcp(listener))
-            .expect("spawn accept loop");
-        self.inner.threads.lock().unwrap().push(handle);
+        let socket = Stream::Tcp(TcpStream::from(OwnedFd::from(listener.try_clone()?)));
+        self.spawn_tracked("aced-accept", socket, move |daemon| {
+            daemon.accept_loop(|| {
+                let (stream, _) = listener.accept()?;
+                // Small request/response frames + Nagle = a
+                // delayed-ACK stall on every answer.
+                let _ = stream.set_nodelay(true);
+                Ok(Stream::Tcp(stream))
+            })
+        });
         Ok(bound)
     }
 
@@ -212,7 +228,6 @@ impl Daemon {
         while !stop.load(Ordering::SeqCst) && !self.is_shutting_down() {
             std::thread::sleep(POLL_INTERVAL);
         }
-        self.shutdown();
         self.join();
     }
 
@@ -221,16 +236,10 @@ impl Daemon {
     /// [`shutdown`](Daemon::shutdown).
     pub fn join(&self) {
         self.shutdown();
-        // Connection threads may still be parking new handles while
-        // we drain, so loop until the list stays empty.
-        loop {
-            let handles: Vec<_> = self.inner.threads.lock().unwrap().drain(..).collect();
-            if handles.is_empty() {
-                break;
-            }
-            for handle in handles {
-                let _ = handle.join();
-            }
+        // Nothing is tracked once the flag is set (`spawn_tracked`).
+        let threads = std::mem::take(&mut *self.inner.threads.lock().unwrap());
+        for (handle, _) in threads {
+            let _ = handle.join();
         }
         if let Some(pool) = self.inner.pool.lock().unwrap().take() {
             pool.shutdown();
@@ -240,64 +249,53 @@ impl Daemon {
         }
     }
 
-    fn accept_loop_unix(&self, listener: UnixListener) {
-        loop {
-            if self.is_shutting_down() {
-                return;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => self.spawn_connection(Conn::Unix(stream)),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_INTERVAL);
-                }
-                Err(_) => return,
+    /// Serves every stream `accept` returns, until it fails. Shutdown
+    /// makes it fail: on Linux, half-closing a listener fails its
+    /// blocked `accept` with `EINVAL`, even once its path is gone.
+    fn accept_loop(&self, accept: impl Fn() -> io::Result<Stream>) {
+        while let Ok(stream) = accept() {
+            if let Ok(socket) = stream.try_clone() {
+                self.spawn_tracked("aced-conn", socket, move |daemon| {
+                    daemon.serve_connection(stream)
+                });
             }
         }
     }
 
-    fn accept_loop_tcp(&self, listener: TcpListener) {
-        loop {
-            if self.is_shutting_down() {
-                return;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    // Small request/response frames + Nagle = a
-                    // delayed-ACK stall on every answer.
-                    let _ = stream.set_nodelay(true);
-                    self.spawn_connection(Conn::Tcp(stream));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_INTERVAL);
-                }
-                Err(_) => return,
-            }
-        }
-    }
-
-    fn spawn_connection(&self, conn: Conn) {
-        let daemon = self.clone();
-        let handle = std::thread::Builder::new()
-            .name("aced-conn".into())
-            .spawn(move || daemon.serve_connection(conn))
-            .expect("spawn connection thread");
+    /// Runs `body` on a new thread, tracked beside `socket` for
+    /// shutdown to half-close. Checked under the lock that shutdown
+    /// half-closes under: once the flag is set nothing starts, so a
+    /// connection accepted during shutdown is half-closed there or
+    /// never served.
+    fn spawn_tracked(
+        &self,
+        name: &str,
+        socket: Stream,
+        body: impl FnOnce(&Daemon) + Send + 'static,
+    ) {
         let mut threads = self.inner.threads.lock().unwrap();
-        // Reap finished connections so a long-running daemon's handle
-        // list stays proportional to *live* connections, not to every
-        // connection ever accepted. Dropping a finished handle only
-        // detaches an already-dead thread.
-        threads.retain(|h| !h.is_finished());
-        threads.push(handle);
-    }
-
-    fn serve_connection(&self, mut conn: Conn) {
-        if conn.set_read_timeout(POLL_INTERVAL).is_err() {
+        if self.is_shutting_down() {
             return;
         }
-        loop {
-            let payload = match self.read_frame_polling(&mut conn) {
-                FrameOutcome::Frame(p) => p,
-                FrameOutcome::Closed => return,
+        // Reap finished threads so a long-running daemon's list stays
+        // proportional to *live* connections, not to every connection
+        // ever accepted. Dropping a finished entry only detaches an
+        // already-dead thread and closes its socket handle.
+        threads.retain(|(h, _)| !h.is_finished());
+        let daemon = self.clone();
+        let handle = std::thread::Builder::new()
+            .name(name.into())
+            .spawn(move || body(&daemon))
+            .expect("spawn daemon thread");
+        threads.push((handle, socket));
+    }
+
+    fn serve_connection(&self, mut stream: Stream) {
+        // A read half-closed by shutdown still returns bytes already
+        // queued, so check the flag before each frame.
+        while !self.is_shutting_down() {
+            let Ok(Some(payload)) = read_frame(&mut stream) else {
+                break;
             };
             let (id, response) = match decode_request(&payload) {
                 Ok((id, request)) => (id, self.dispatch(request)),
@@ -307,50 +305,13 @@ impl Daemon {
                 ),
             };
             let bytes = encode_response(id, &response);
-            if write_frame(&mut conn, &bytes).is_err() {
-                return;
+            if write_frame(&mut stream, &bytes).is_err() {
+                break;
             }
         }
-    }
-
-    /// Reads one frame, polling the shutdown flag while the
-    /// connection is idle. Slow writers are tolerated anywhere in the
-    /// frame — a stall between two length bytes is as legitimate as
-    /// one mid-payload — but once shutdown begins, a peer stalled
-    /// mid-frame is dropped rather than waited on.
-    fn read_frame_polling(&self, conn: &mut Conn) -> FrameOutcome {
-        let mut len_bytes = [0u8; 4];
-        let mut filled = 0;
-        while filled < 4 {
-            if filled == 0 && self.is_shutting_down() {
-                return FrameOutcome::Closed;
-            }
-            match conn.read(&mut len_bytes[filled..]) {
-                Ok(0) => return FrameOutcome::Closed,
-                Ok(n) => filled += n,
-                Err(e) if is_timeout(&e) && (filled == 0 || !self.is_shutting_down()) => continue,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return FrameOutcome::Closed,
-            }
-        }
-        let len = u32::from_be_bytes(len_bytes) as usize;
-        if len > crate::frame::MAX_FRAME_BYTES {
-            return FrameOutcome::Closed;
-        }
-        let mut payload = vec![0u8; len];
-        let mut filled = 0;
-        while filled < len {
-            match conn.read(&mut payload[filled..]) {
-                Ok(0) => return FrameOutcome::Closed,
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                // Allow a few poll intervals for a slow writer, but a
-                // peer that stalls mid-frame during shutdown is dead.
-                Err(e) if is_timeout(&e) && !self.is_shutting_down() => continue,
-                Err(_) => return FrameOutcome::Closed,
-            }
-        }
-        FrameOutcome::Frame(payload)
+        // The handle tracked for shutdown keeps the socket open until
+        // it is reaped, so hang up explicitly: the peer sees EOF now.
+        let _ = stream.shutdown(Shutdown::Both);
     }
 
     /// Routes one request: `status` inline, warm reads inline from
@@ -405,43 +366,14 @@ impl Daemon {
         let cancelled = Arc::new(AtomicBool::new(false));
         let job_cancelled = Arc::clone(&cancelled);
         let daemon = self.clone();
-        let submitted = {
-            let pool = self.inner.pool.lock().unwrap();
-            let Some(pool) = pool.as_ref() else {
-                return Response::Error(ServiceError::new(
-                    ErrorCode::ShuttingDown,
-                    "worker pool is drained",
-                ));
-            };
-            pool.try_submit(shard, move || {
-                if job_cancelled.load(Ordering::SeqCst) {
-                    return;
-                }
-                let response = daemon.execute(request);
-                let _ = tx.send(response);
-            })
+        let job = move || {
+            if !job_cancelled.load(Ordering::SeqCst) {
+                let _ = tx.send(daemon.execute(request));
+            }
         };
-        match submitted {
-            Ok(()) => {}
-            Err(SubmitError::Full) => {
-                return Response::Error(
-                    ServiceError::new(ErrorCode::QueueFull, format!("shard {shard} queue is full"))
-                        .with_retry_after_ms(RETRY_AFTER_MS),
-                )
-            }
-            Err(SubmitError::ShuttingDown) => {
-                return Response::Error(ServiceError::new(
-                    ErrorCode::ShuttingDown,
-                    "worker pool is draining",
-                ))
-            }
-        }
-        match rx.recv_timeout(self.inner.config.request_timeout) {
-            Ok(response) => response,
-            Err(_) => {
-                cancelled.store(true, Ordering::SeqCst);
-                self.timeout_error()
-            }
+        match self.submit(shard, job) {
+            Ok(()) => self.await_answer(&rx, &cancelled),
+            Err(e) => Response::Error(e),
         }
     }
 
@@ -461,35 +393,7 @@ impl Daemon {
         let token = state.enqueue_edit(seq, diff, tx, Arc::clone(&cancelled));
         let daemon = self.clone();
         let drain_state = Arc::clone(&state);
-        let drain_name = session.clone();
-        let submit_error = {
-            let pool = self.inner.pool.lock().unwrap();
-            match pool.as_ref() {
-                None => Some(ServiceError::new(
-                    ErrorCode::ShuttingDown,
-                    "worker pool is drained",
-                )),
-                Some(pool) => {
-                    match pool
-                        .try_submit(shard, move || daemon.drain_edits(&drain_name, &drain_state))
-                    {
-                        Ok(()) => None,
-                        Err(SubmitError::Full) => Some(
-                            ServiceError::new(
-                                ErrorCode::QueueFull,
-                                format!("shard {shard} queue is full"),
-                            )
-                            .with_retry_after_ms(RETRY_AFTER_MS),
-                        ),
-                        Err(SubmitError::ShuttingDown) => Some(ServiceError::new(
-                            ErrorCode::ShuttingDown,
-                            "worker pool is draining",
-                        )),
-                    }
-                }
-            }
-        };
-        if let Some(err) = submit_error {
+        if let Err(err) = self.submit(shard, move || daemon.drain_edits(&session, &drain_state)) {
             // Retract the parked edit before reporting the failure.
             // When an in-flight drain already collected it, the edit
             // WILL be applied and answered — reporting `queue-full`
@@ -499,27 +403,46 @@ impl Daemon {
                 return Response::Error(err);
             }
         }
-        match rx.recv_timeout(self.inner.config.request_timeout) {
-            Ok(response) => response,
-            Err(_) => {
-                // The deadline passed with the edit still pending (or
-                // mid-sweep). Flag it: a drain that has not collected
-                // it yet discards it, keeping the client's retry of
-                // the same seq a first application, not a second.
-                cancelled.store(true, Ordering::SeqCst);
-                self.timeout_error()
-            }
-        }
+        self.await_answer(&rx, &cancelled)
     }
 
-    fn timeout_error(&self) -> Response {
-        Response::Error(ServiceError::new(
-            ErrorCode::Timeout,
-            format!(
-                "request exceeded the {:?} deadline",
-                self.inner.config.request_timeout
-            ),
-        ))
+    /// Queues `job` on `shard`, or says why not: a full queue answers
+    /// `queue-full` with a retry hint.
+    fn submit(
+        &self,
+        shard: usize,
+        job: impl FnOnce() + Send + 'static,
+    ) -> Result<(), ServiceError> {
+        let pool = self.inner.pool.lock().unwrap();
+        let Some(pool) = pool.as_ref() else {
+            return Err(ServiceError::new(
+                ErrorCode::ShuttingDown,
+                "worker pool is drained",
+            ));
+        };
+        pool.try_submit(shard, job).map_err(|e| match e {
+            SubmitError::Full => {
+                ServiceError::new(ErrorCode::QueueFull, format!("shard {shard} queue is full"))
+                    .with_retry_after_ms(RETRY_AFTER_MS)
+            }
+            SubmitError::ShuttingDown => {
+                ServiceError::new(ErrorCode::ShuttingDown, "worker pool is draining")
+            }
+        })
+    }
+
+    /// Waits for a job's answer until the request deadline. Past it,
+    /// the request is flagged `cancelled` and answers `timeout`: a job
+    /// not yet run skips its work, and a drain that has not collected
+    /// the edit yet discards it, so the client's retry of the same
+    /// seq is a first application, not a second.
+    fn await_answer(&self, rx: &mpsc::Receiver<Response>, cancelled: &AtomicBool) -> Response {
+        let deadline = self.inner.config.request_timeout;
+        rx.recv_timeout(deadline).unwrap_or_else(|_| {
+            cancelled.store(true, Ordering::SeqCst);
+            let message = format!("request exceeded the {deadline:?} deadline");
+            Response::Error(ServiceError::new(ErrorCode::Timeout, message))
+        })
     }
 
     /// Runs on a worker: collects every edit parked on `state`,
@@ -574,10 +497,7 @@ impl Daemon {
                 // Nothing to apply: acknowledge the retries from the
                 // current snapshot without paying a sweep.
                 for edit in &duplicates {
-                    edit.respond(Response::Extracted(ExtractResult {
-                        wirelist: snap.wirelist.clone(),
-                        report: snap.report,
-                    }));
+                    edit.respond(extracted(&snap));
                 }
                 return;
             }
@@ -611,23 +531,9 @@ impl Daemon {
         }
         // One sweep pays for the whole batch; its snapshot serves
         // subsequent reads and duplicate acknowledgements.
-        let response = match write.extractor.extract_probed("aced", &probe) {
-            Ok(extraction) => {
-                let wirelist = write_wirelist(&extraction.netlist, WirelistOptions::new());
-                let report = WireReport::from_report(&probe.take_report());
-                let layout = write.extractor.layout().clone();
-                state.set_snapshot(Arc::new(Snapshot {
-                    wirelist: wirelist.clone(),
-                    report,
-                    layout,
-                    extraction,
-                }));
-                Response::Extracted(ExtractResult { wirelist, report })
-            }
-            Err(e) => {
-                state.clear_snapshot();
-                Response::Error(extract_error(e))
-            }
+        let response = match sweep(&mut write, state, &probe) {
+            Ok(snap) => extracted(&snap),
+            Err(e) => Response::Error(e),
         };
         for edit in accepted.iter().chain(&duplicates) {
             edit.respond(response.clone());
@@ -642,10 +548,7 @@ impl Daemon {
     /// cold sweep seeds the snapshot).
     fn serve_read(&self, request: Request, snap: &Snapshot) -> Response {
         match request {
-            Request::Extract { .. } => Response::Extracted(ExtractResult {
-                wirelist: snap.wirelist.clone(),
-                report: snap.report,
-            }),
+            Request::Extract { .. } => extracted(snap),
             Request::QueryNet { net, .. } => Response::Net(net_info(&snap.extraction.netlist, net)),
             Request::Lint { config, .. } => {
                 let probe = CounterProbe::new();
@@ -773,24 +676,7 @@ impl Daemon {
         if let Some(snap) = state.snapshot() {
             return Ok(snap);
         }
-        let probe = CounterProbe::new();
-        let outcome = write
-            .extractor
-            .extract_probed("aced", &probe)
-            .map_err(extract_error)
-            .map(|extraction| {
-                let wirelist = write_wirelist(&extraction.netlist, WirelistOptions::new());
-                let report = WireReport::from_report(&probe.take_report());
-                let layout = write.extractor.layout().clone();
-                let snap = Arc::new(Snapshot {
-                    wirelist,
-                    report,
-                    layout,
-                    extraction,
-                });
-                state.set_snapshot(Arc::clone(&snap));
-                snap
-            });
+        let outcome = sweep(&mut write, &state, &CounterProbe::new());
         let cache_bytes = write.extractor.cache_bytes();
         drop(write);
         self.inner.store.note_cache_bytes(session, cache_bytes);
@@ -831,8 +717,37 @@ impl Daemon {
     }
 }
 
-fn extract_error(e: ace_core::ExtractError) -> ServiceError {
-    ServiceError::new(ErrorCode::ExtractFailed, e.to_string())
+/// Sweeps a session once and publishes the result as its read
+/// snapshot; a failed sweep clears the snapshot instead.
+fn sweep(
+    write: &mut WriteHalf,
+    state: &SessionState,
+    probe: &CounterProbe,
+) -> Result<Arc<Snapshot>, ServiceError> {
+    match write.extractor.extract_probed("aced", probe) {
+        Ok(extraction) => {
+            let snap = Arc::new(Snapshot {
+                wirelist: write_wirelist(&extraction.netlist, WirelistOptions::new()),
+                report: WireReport::from_report(&probe.take_report()),
+                layout: write.extractor.layout().clone(),
+                extraction,
+            });
+            state.set_snapshot(Arc::clone(&snap));
+            Ok(snap)
+        }
+        Err(e) => {
+            state.clear_snapshot();
+            Err(ServiceError::new(ErrorCode::ExtractFailed, e.to_string()))
+        }
+    }
+}
+
+/// The `extract` answer a snapshot gives.
+fn extracted(snap: &Snapshot) -> Response {
+    Response::Extracted(ExtractResult {
+        wirelist: snap.wirelist.clone(),
+        report: snap.report,
+    })
 }
 
 /// Answers `query-net` against a netlist (shared by the snapshot and
@@ -872,63 +787,13 @@ fn net_info(netlist: &ace_wirelist::Netlist, net: String) -> NetInfo {
     }
 }
 
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
-enum FrameOutcome {
-    Frame(Vec<u8>),
-    Closed,
-}
-
-/// A listener-agnostic connection.
-enum Conn {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Conn {
-    fn set_read_timeout(&mut self, d: Duration) -> io::Result<()> {
-        match self {
-            Conn::Unix(s) => s.set_read_timeout(Some(d)),
-            Conn::Tcp(s) => s.set_read_timeout(Some(d)),
-        }
-    }
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Unix(s) => s.read(buf),
-            Conn::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Unix(s) => s.write(buf),
-            Conn::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Unix(s) => s.flush(),
-            Conn::Tcp(s) => s.flush(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::{Client, ClientError};
+    use crate::protocol::encode_request;
     use ace_core::ExtractOptions;
+    use std::io::{Read, Write};
 
     const TINY_CIF: &str = "L ND; B 400 1600 0 0; L NP; B 1600 400 0 0; E";
 
@@ -944,6 +809,21 @@ mod tests {
             ClientError::Service(e) => e,
             other => panic!("expected service error, got {other}"),
         }
+    }
+
+    /// Joins `daemon` on a helper thread and fails unless that returns
+    /// within 5 s, so a shutdown that misses a blocked thread fails the
+    /// test instead of hanging the suite.
+    fn join_within_5s(daemon: &Daemon) {
+        let (done, joined) = mpsc::channel();
+        let daemon = daemon.clone();
+        std::thread::spawn(move || {
+            daemon.join();
+            let _ = done.send(());
+        });
+        joined
+            .recv_timeout(Duration::from_secs(5))
+            .expect("join() must return within 5 s");
     }
 
     #[test]
@@ -970,7 +850,7 @@ mod tests {
         // are unaffected.
         let result = client.extract("s").expect("recovers after release");
         assert!(result.wirelist.contains("nEnh"));
-        daemon.join();
+        join_within_5s(&daemon);
     }
 
     #[test]
@@ -1021,7 +901,7 @@ mod tests {
         wait_for_queue_depth(&daemon, 0);
         let result = client.extract("s").expect("works after drain");
         assert!(result.wirelist.contains("nEnh"));
-        daemon.join();
+        join_within_5s(&daemon);
     }
 
     fn self_pool(daemon: &Daemon) -> std::sync::MutexGuard<'_, Option<WorkerPool>> {
@@ -1048,7 +928,23 @@ mod tests {
             Response::Error(e) => assert_eq!(e.code, ErrorCode::ShuttingDown),
             other => panic!("expected shutting-down, got {other:?}"),
         }
-        daemon.join();
+        join_within_5s(&daemon);
+    }
+
+    #[test]
+    fn a_request_queued_at_shutdown_is_not_served() {
+        let daemon = Daemon::new(ServiceConfig::default());
+        let (ours, mut peer) = UnixStream::pair().expect("socket pair");
+        write_frame(&mut peer, &encode_request(1, &Request::Status)).expect("queue a request");
+        peer.shutdown(Shutdown::Write).expect("half-close");
+        daemon.shutdown();
+        daemon.serve_connection(Stream::Unix(ours));
+        // The unread request makes the hang-up a reset, not an EOF.
+        assert!(
+            !matches!(read_frame(&mut peer), Ok(Some(_))),
+            "a request queued at shutdown was served"
+        );
+        join_within_5s(&daemon);
     }
 
     /// A fresh in-process extractor over [`TINY_CIF`], configured the
@@ -1091,7 +987,7 @@ mod tests {
             matches!(response, Response::Status(_)),
             "expected a status answer, got {response:?}"
         );
-        daemon.join();
+        join_within_5s(&daemon);
     }
 
     #[test]
@@ -1102,7 +998,7 @@ mod tests {
             let mut c = Client::connect_tcp(&addr.to_string()).expect("connect");
             c.status().expect("status");
             // Dropping the client closes the connection; its thread
-            // exits within one poll interval.
+            // reads EOF and exits.
         }
         // Wait for everything but the accept loop to finish.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -1113,7 +1009,7 @@ mod tests {
                 .lock()
                 .unwrap()
                 .iter()
-                .filter(|h| !h.is_finished())
+                .filter(|(h, _)| !h.is_finished())
                 .count();
             if unfinished <= 1 || std::time::Instant::now() > deadline {
                 break;
@@ -1130,7 +1026,7 @@ mod tests {
             handles <= 3,
             "expected a reaped handle list (accept loop + live conn), got {handles}"
         );
-        daemon.join();
+        join_within_5s(&daemon);
     }
 
     #[test]
@@ -1167,7 +1063,7 @@ mod tests {
             .open("p", TINY_CIF, 2, ExtractOptions::new())
             .expect("reopen");
         assert!(client.extract("p").expect("works again").report.boxes > 0);
-        daemon.join();
+        join_within_5s(&daemon);
     }
 
     #[test]
@@ -1239,7 +1135,7 @@ mod tests {
             .edit_diff_seq("s", Some(1), &diff)
             .expect("duplicate is acked");
         assert_eq!(acked.wirelist, oracle_text);
-        daemon.join();
+        join_within_5s(&daemon);
     }
 
     #[test]
@@ -1298,6 +1194,49 @@ mod tests {
         );
         let status = client.status().expect("status");
         assert_eq!(status.coalesced_edits, 1, "lifetime gauge: {status:?}");
-        daemon.join();
+        join_within_5s(&daemon);
+    }
+
+    #[test]
+    fn shutdown_wakes_an_idle_client_and_a_peer_stalled_mid_frame() {
+        let (daemon, mut client, addr) = daemon_and_client(ServiceConfig::default());
+        client.status().expect("status");
+        // One answered request puts the raw peer's thread in its read
+        // loop; then it sends half of the next length prefix and stalls.
+        let mut stalled = TcpStream::connect(addr).expect("raw connect");
+        write_frame(&mut stalled, &encode_request(1, &Request::Status)).expect("request");
+        read_frame(&mut stalled).expect("answer").expect("frame");
+        stalled.write_all(&[0, 0]).expect("half a length prefix");
+
+        join_within_5s(&daemon);
+        assert!(client.status().is_err(), "the idle client is hung up on");
+        assert!(
+            !matches!(stalled.read(&mut [0u8; 1]), Ok(n) if n > 0),
+            "the stalled peer is hung up on"
+        );
+    }
+
+    #[test]
+    fn shutdown_wakes_an_idle_unix_client_and_unlinks_the_socket() {
+        let path = std::env::temp_dir().join(format!("aced-unit-{}.sock", std::process::id()));
+        let daemon = Daemon::new(ServiceConfig::default());
+        daemon.serve_unix(&path).expect("bind");
+        let mut client = Client::connect_unix(&path).expect("connect");
+        client.status().expect("status");
+
+        join_within_5s(&daemon);
+        assert!(!path.exists(), "join must unlink {}", path.display());
+        assert!(client.status().is_err(), "the idle client is hung up on");
+    }
+
+    #[test]
+    fn shutdown_wakes_a_unix_listener_whose_socket_file_is_gone() {
+        let path = std::env::temp_dir().join(format!("aced-gone-{}.sock", std::process::id()));
+        let daemon = Daemon::new(ServiceConfig::default());
+        daemon.serve_unix(&path).expect("bind");
+        // Nothing can connect to the listener now, so only closing its
+        // socket can wake the accept loop.
+        std::fs::remove_file(&path).expect("remove the socket file");
+        join_within_5s(&daemon);
     }
 }

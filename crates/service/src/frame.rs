@@ -6,8 +6,13 @@
 //! delimiters, and makes the protocol self-describing enough that a
 //! confused peer fails fast (length caps at [`MAX_FRAME_BYTES`])
 //! instead of deadlocking on a half-read message.
+//!
+//! Both ends frame over one `Stream` type: a Unix-socket or TCP
+//! connection.
 
 use std::io::{self, Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::os::unix::net::UnixStream;
 
 /// Upper bound on a single frame's payload, protecting the daemon
 /// from a garbage length prefix (64 MiB comfortably fits any chip
@@ -42,6 +47,9 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// Reads one frame. Returns `Ok(None)` on a clean EOF at a frame
 /// boundary (the peer closed the connection between messages).
 ///
+/// The payload buffer grows as its bytes arrive, so a length prefix
+/// alone never reserves the memory it announces.
+///
 /// # Errors
 ///
 /// [`io::ErrorKind::UnexpectedEof`] on EOF mid-frame,
@@ -71,9 +79,65 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("frame length {len} exceeds cap"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::new();
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "eof inside frame payload",
+        ));
+    }
     Ok(Some(payload))
+}
+
+/// A connection over either transport `aced` serves.
+pub(crate) enum Stream {
+    Unix(UnixStream),
+    Tcp(TcpStream),
+}
+
+impl Stream {
+    /// A second handle on the same connection.
+    pub(crate) fn try_clone(&self) -> io::Result<Stream> {
+        Ok(match self {
+            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
+            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
+        })
+    }
+
+    /// Shuts down one or both halves of the connection, for every
+    /// handle on it.
+    pub(crate) fn shutdown(&self, how: Shutdown) -> io::Result<()> {
+        match self {
+            Stream::Unix(s) => s.shutdown(how),
+            Stream::Tcp(s) => s.shutdown(how),
+        }
+    }
+}
+
+impl Read for Stream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            Stream::Unix(s) => s.read(buf),
+            Stream::Tcp(s) => s.read(buf),
+        }
+    }
+}
+
+impl Write for Stream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Stream::Unix(s) => s.write(buf),
+            Stream::Tcp(s) => s.write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        match self {
+            Stream::Unix(s) => s.flush(),
+            Stream::Tcp(s) => s.flush(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -116,5 +180,28 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let err = write_frame(&mut Vec::new(), &vec![0u8; MAX_FRAME_BYTES + 1]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    /// A reader that records the largest buffer it is handed.
+    struct Widest<'a>(&'a [u8], usize);
+
+    impl Read for Widest<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.1 = self.1.max(buf.len());
+            self.0.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_bare_length_prefix_reserves_nothing() {
+        let prefix = (MAX_FRAME_BYTES as u32).to_be_bytes();
+        let mut r = Widest(&prefix, 0);
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            r.1 < 1024 * 1024,
+            "a 64 MiB prefix was handed {} bytes",
+            r.1
+        );
     }
 }

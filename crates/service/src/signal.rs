@@ -7,7 +7,7 @@
 //! through the platform C runtime. The handler does the only thing an
 //! async-signal-safe handler may: store to an atomic. Everything else
 //! (draining queues, joining threads, unlinking sockets) happens on
-//! normal threads that poll the flag.
+//! normal threads once `Daemon::run_until` sees the flag.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

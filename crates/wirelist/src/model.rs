@@ -86,9 +86,9 @@ pub struct Device {
 /// the mean source/drain edge length; a channel whose terminal
 /// contacts all have zero length would produce a NaN/∞-style W or L.
 /// The finalization paths guard that division and emit `length = 0,
-/// width = 0` instead, which this enum surfaces as [`Degenerate`]
-/// (`DeviceDim::Degenerate`) so checkers can flag the device rather
-/// than propagate a nonsense geometry.
+/// width = 0` instead, which this enum surfaces as
+/// [`Degenerate`](DeviceDim::Degenerate) so checkers can flag the
+/// device rather than propagate a nonsense geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeviceDim {
     /// A well-formed channel with positive length and width.

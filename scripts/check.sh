@@ -33,8 +33,8 @@ cargo fmt --all --check
 echo "==> cargo clippy (incl. clippy::perf, tests and examples too)"
 cargo clippy --workspace --all-targets --offline -- -W clippy::perf -D warnings
 
-echo "==> cargo doc"
-cargo doc --no-deps --offline
+echo "==> cargo doc (zero warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline
 
 echo "==> conformance repro triage gate"
 # Any .cif under conformance/repros/ is an un-triaged cross-backend
@@ -107,6 +107,21 @@ echo "==> parasitic conformance smoke (seed 1983, 64 cases)"
 # checked against the brute-force coordinate-compression oracle.
 target/release/conformance --seed 1983 --cases 64 --parasitics --quiet
 
+# Sends SIGTERM to the aced with pid $1 and waits up to 10 s for it to
+# exit 0, so a shutdown that hangs fails CI instead of hanging it.
+stop_aced() {
+    kill -TERM "$1"
+    for _ in $(seq 1 100); do
+        kill -0 "$1" 2>/dev/null || break
+        sleep 0.1
+    done
+    if kill -0 "$1" 2>/dev/null; then
+        echo "aced still running 10 s after SIGTERM" >&2
+        exit 1
+    fi
+    wait "$1" || { echo "aced did not exit cleanly on SIGTERM" >&2; exit 1; }
+}
+
 echo "==> aced service smoke"
 # Starts the daemon on a throwaway socket, runs service_load --smoke
 # against it (4 concurrent clients; every wire answer must match the
@@ -125,8 +140,7 @@ for _ in $(seq 1 100); do
 done
 [ -S "$aced_sock" ] || { echo "aced never bound $aced_sock" >&2; exit 1; }
 target/release/service_load --smoke --socket "$aced_sock"
-kill -TERM "$aced_pid"
-wait "$aced_pid" || { echo "aced did not exit cleanly on SIGTERM" >&2; exit 1; }
+stop_aced "$aced_pid"
 trap - EXIT
 [ ! -e "$aced_sock" ] || { echo "aced left $aced_sock behind" >&2; exit 1; }
 
@@ -165,9 +179,9 @@ done
 for pid in $qf_pids; do
     wait "$pid" || { echo "a retried extract never succeeded" >&2; exit 1; }
 done
-kill -TERM "$qf_pid"
-wait "$qf_pid" || { echo "aced did not exit cleanly on SIGTERM" >&2; exit 1; }
+stop_aced "$qf_pid"
 trap - EXIT
 rm -f "$qf_cif"
+[ ! -e "$qf_sock" ] || { echo "aced left $qf_sock behind" >&2; exit 1; }
 
 echo "OK"

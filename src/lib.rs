@@ -38,17 +38,24 @@ pub use ace_workloads as workloads;
 /// * **Extraction entry points** — `extract_text` / `extract_library`
 ///   / `extract_flat` / `extract_feed` and their `_probed` variants,
 ///   all returning `Result<Extraction, ExtractError>`; banding is
-///   selected with [`ExtractOptions::with_threads`].
-/// * **Backends** — the [`CircuitExtractor`] trait and its five
-///   implementations: [`FlatExtractor`] (flat or banded),
-///   [`HierarchicalExtractor`], [`PartlistExtractor`],
-///   [`CifplotExtractor`].
-/// * **Observability** — the [`Probe`] trait, the [`NullProbe`] /
-///   [`CounterProbe`] / [`ChromeTraceProbe`] / [`SummaryProbe`]
-///   sinks, and the [`Lane`] / [`Span`] / [`Counter`] vocabulary.
-/// * **Results** — [`Extraction`], [`ExtractionReport`],
-///   [`BandReport`], [`StitchStats`], the [`Netlist`] it carries, and
-///   netlist comparison via [`wirelist::compare`].
+///   selected with [`ExtractOptions::with_threads`](core::ExtractOptions::with_threads).
+/// * **Backends** — the [`CircuitExtractor`](core::CircuitExtractor)
+///   trait and its five implementations:
+///   [`FlatExtractor`](core::FlatExtractor) (flat or banded),
+///   [`HierarchicalExtractor`](hext::HierarchicalExtractor),
+///   [`PartlistExtractor`](raster::PartlistExtractor),
+///   [`CifplotExtractor`](raster::CifplotExtractor).
+/// * **Observability** — the [`Probe`](core::Probe) trait, the
+///   [`NullProbe`](core::NullProbe) / [`CounterProbe`](core::CounterProbe)
+///   / [`ChromeTraceProbe`](core::ChromeTraceProbe) /
+///   [`SummaryProbe`](core::SummaryProbe) sinks, and the
+///   [`Lane`](core::Lane) / [`Span`](core::Span) /
+///   [`Counter`](core::Counter) vocabulary.
+/// * **Results** — [`Extraction`](core::Extraction),
+///   [`ExtractionReport`](core::ExtractionReport),
+///   [`BandReport`](core::BandReport), [`StitchStats`](core::StitchStats),
+///   the [`Netlist`](wirelist::Netlist) it carries, and netlist
+///   comparison via [`wirelist::compare`].
 /// * **Linting** — [`extract_library_linted`](lint::extract_library_linted),
 ///   the [`LintConfig`](lint::LintConfig) rule registry, and the
 ///   [`Diagnostic`](lint::Diagnostic) / [`RuleId`](lint::RuleId) /
