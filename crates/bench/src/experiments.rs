@@ -3,10 +3,11 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use ace_core::{extract_library, ExtractOptions, Phase};
+use ace_core::{extract_feed, extract_library, ExtractOptions, Extraction, Phase, SortStrategy};
 use ace_hext::extract_hierarchical;
-use ace_layout::{FlatLayout, Library};
+use ace_layout::{EagerFeed, FlatLayout, GeometryFeed, LazyFeed, Library};
 use ace_raster::{extract_cifplot, extract_partlist};
+use ace_wirelist::{write_wirelist, WirelistOptions};
 use ace_workloads::array::{square_array_cells, square_array_cif};
 use ace_workloads::bhh::{bhh_cif, BhhParams};
 use ace_workloads::chips::{generate_chip, paper_chip, ChipSpec, GeneratedChip};
@@ -30,6 +31,10 @@ pub enum Experiment {
     AceWorstCase,
     /// §4 expected space: O(√N) scanline state, O(N) total.
     AceSpace,
+    /// §4 ablation: insertion sort vs bin sort for new geometry.
+    AceSorting,
+    /// §4 ablation: lazy vs eager front end.
+    AceFrontEnd,
     /// HEXT Table 4-1: square arrays, O(√N) vs O(N).
     HextTable41,
     /// HEXT Table 5-1: HEXT vs flat ACE on six chips.
@@ -40,13 +45,15 @@ pub enum Experiment {
 
 impl Experiment {
     /// All experiments in paper order.
-    pub const ALL: [Experiment; 9] = [
+    pub const ALL: [Experiment; 11] = [
         Experiment::AceTable51,
         Experiment::AceTable52,
         Experiment::AceTimeDistribution,
         Experiment::AceLinearity,
         Experiment::AceWorstCase,
         Experiment::AceSpace,
+        Experiment::AceSorting,
+        Experiment::AceFrontEnd,
         Experiment::HextTable41,
         Experiment::HextTable51,
         Experiment::HextTable52,
@@ -61,6 +68,8 @@ impl Experiment {
             Experiment::AceLinearity => "ace-linearity",
             Experiment::AceWorstCase => "ace-worst-case",
             Experiment::AceSpace => "ace-space",
+            Experiment::AceSorting => "ace-sorting",
+            Experiment::AceFrontEnd => "ace-front-end",
             Experiment::HextTable41 => "hext-table-4-1",
             Experiment::HextTable51 => "hext-table-5-1",
             Experiment::HextTable52 => "hext-table-5-2",
@@ -83,6 +92,8 @@ pub fn run_experiment(experiment: Experiment, scale: f64) -> String {
         Experiment::AceLinearity => ace_linearity(scale),
         Experiment::AceWorstCase => ace_worst_case(scale),
         Experiment::AceSpace => ace_space(scale),
+        Experiment::AceSorting => ace_sorting(scale),
+        Experiment::AceFrontEnd => ace_front_end(scale),
         Experiment::HextTable41 => hext_table_4_1(scale),
         Experiment::HextTable51 => hext_table_5_1(scale),
         Experiment::HextTable52 => hext_table_5_2(scale),
@@ -107,6 +118,23 @@ fn build_chip(spec: &ChipSpec, scale: f64) -> (GeneratedChip, Library) {
 
 fn secs(d: Duration) -> f64 {
     d.as_secs_f64()
+}
+
+/// Runs `f` and returns its wall time in seconds beside its result.
+fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
+    let t0 = Instant::now();
+    let out = f();
+    (secs(t0.elapsed()), out)
+}
+
+/// Panics unless two extractions of one layout write the same
+/// wirelist bytes: an ablation's two paths must differ in cost only.
+fn assert_same_wirelist(a: &Extraction, b: &Extraction, what: &str) {
+    let opts = WirelistOptions::new();
+    assert!(
+        write_wirelist(&a.netlist, opts) == write_wirelist(&b.netlist, opts),
+        "{what}: the two paths wrote different wirelists"
+    );
 }
 
 fn ace_table_5_1(scale: f64) -> String {
@@ -135,9 +163,8 @@ fn ace_table_5_1(scale: f64) -> String {
     for row in paper::ACE_TABLE_5_1 {
         let spec = paper_chip(row.name).expect("paper chip");
         let (chip, lib) = build_chip(spec, scale);
-        let t0 = Instant::now();
-        let r = extract_library(&lib, row.name, ExtractOptions::new()).expect("extracts");
-        let dt = secs(t0.elapsed());
+        let (dt, r) =
+            timed(|| extract_library(&lib, row.name, ExtractOptions::new()).expect("extracts"));
         let devs = r.netlist.device_count() as f64;
         rates.push(chip.boxes as f64 / dt);
         let _ = writeln!(
@@ -184,22 +211,17 @@ fn ace_table_5_2(scale: f64) -> String {
         let (_chip, lib) = build_chip(spec, scale);
         let flat = FlatLayout::from_library(&lib);
 
-        let t0 = Instant::now();
-        let _ = extract_library(&lib, row.name, ExtractOptions::new()).expect("extracts");
-        let ace_t = secs(t0.elapsed());
+        let (ace_t, _) =
+            timed(|| extract_library(&lib, row.name, ExtractOptions::new()).expect("extracts"));
 
         // The paper did not run Partlist on riscb or Cifplot on
         // testram/riscb ("-"); mirror that.
-        let partlist_t = row.partlist_secs.map(|_| {
-            let t0 = Instant::now();
-            let _ = extract_partlist(&flat, row.name, ace_geom::LAMBDA);
-            secs(t0.elapsed())
-        });
-        let cifplot_t = row.cifplot_secs.map(|_| {
-            let t0 = Instant::now();
-            let _ = extract_cifplot(&flat, row.name, ace_geom::LAMBDA);
-            secs(t0.elapsed())
-        });
+        let partlist_t = row
+            .partlist_secs
+            .map(|_| timed(|| extract_partlist(&flat, row.name, ace_geom::LAMBDA)).0);
+        let cifplot_t = row
+            .cifplot_secs
+            .map(|_| timed(|| extract_cifplot(&flat, row.name, ace_geom::LAMBDA)).0);
 
         let fmt_opt = |v: Option<u32>| v.map_or("-".to_string(), |s| mmss(s as f64));
         let fmt_meas = |v: Option<f64>| v.map_or("-".to_string(), |s| format!("{s:.3}"));
@@ -275,9 +297,8 @@ fn ace_linearity(scale: f64) -> String {
         let n = ((n as f64 * scale) as u64).max(1_000);
         let cif = bhh_cif(&BhhParams::paper(n, 0xACE));
         let lib = Library::from_cif_text(&cif).expect("valid CIF");
-        let t0 = Instant::now();
-        let r = extract_library(&lib, "bhh", ExtractOptions::new()).expect("extracts");
-        let dt = secs(t0.elapsed());
+        let (dt, r) =
+            timed(|| extract_library(&lib, "bhh", ExtractOptions::new()).expect("extracts"));
         let growth = match prev {
             Some((pn, pt)) => format!("{:.2}x for {:.0}x N", dt / pt, n as f64 / pn as f64),
             None => "-".to_string(),
@@ -317,9 +338,8 @@ fn ace_worst_case(scale: f64) -> String {
         let n = ((n as f64 * scale.sqrt()) as u32).max(4);
         let cif = mesh_cif(n);
         let lib = Library::from_cif_text(&cif).expect("valid CIF");
-        let t0 = Instant::now();
-        let r = extract_library(&lib, "mesh", ExtractOptions::new()).expect("extracts");
-        let dt = secs(t0.elapsed());
+        let (dt, r) =
+            timed(|| extract_library(&lib, "mesh", ExtractOptions::new()).expect("extracts"));
         let growth = match prev {
             Some(pt) => format!("{:.2}x", dt / pt),
             None => "-".to_string(),
@@ -378,6 +398,99 @@ fn ace_space(scale: f64) -> String {
     out
 }
 
+fn ace_sorting(scale: f64) -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "## ACE §4 — insertion sort vs bin sort for new geometry (BHH model, scale {scale})\n"
+    );
+    let _ = writeln!(
+        out,
+        "{:>9} {:>9} | {:>12} {:>8} | {:>9} {:>8} | {:>8}",
+        "N boxes", "devices", "insertion(s)", "insert%", "bin(s)", "insert%", "bin/ins"
+    );
+    let mut max_share = 0.0f64;
+    for n in [16_000u64, 64_000, 256_000] {
+        let n = ((n as f64 * scale) as u64).max(1_000);
+        let lib = Library::from_cif_text(&bhh_cif(&BhhParams::paper(n, 0xACE))).expect("valid");
+        let run = |sort| {
+            let options = ExtractOptions::new().with_sort(sort);
+            timed(|| extract_library(&lib, "bhh", options).expect("extracts"))
+        };
+        let (ins_t, ins) = run(SortStrategy::Insertion);
+        let (bin_t, bin) = run(SortStrategy::Bin);
+        assert_same_wirelist(&ins, &bin, &format!("bhh {n}"));
+        let ins_share = ins.report.phase_percent(Phase::Insert);
+        max_share = max_share.max(ins_share);
+        let _ = writeln!(
+            out,
+            "{:>9} {:>9} | {:>12.3} {:>7.1}% | {:>9.3} {:>7.1}% | {:>7.2}x",
+            n,
+            ins.netlist.device_count(),
+            ins_t,
+            ins_share,
+            bin_t,
+            bin.report.phase_percent(Phase::Insert),
+            bin_t / ins_t,
+        );
+    }
+    let _ = writeln!(
+        out,
+        "\nshape check: entering new geometry, insertion sort included, takes at \
+         most {max_share:.1}% of the sweep, so bin sort has little to win — 'c₁ is \
+         so small that it has not been necessary'. Both sorts wrote \
+         byte-identical wirelists."
+    );
+    out
+}
+
+fn ace_front_end(scale: f64) -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "## ACE §4 — lazy vs eager front end (chip scale {scale})\n"
+    );
+    let _ = writeln!(
+        out,
+        "{:<9} {:>8} | {:>8} {:>9} | {:>8} {:>9} | {:>10}",
+        "chip", "boxes", "lazy(s)", "pending", "eager(s)", "pending", "eager/lazy"
+    );
+    let mut lazy_peak = 0;
+    for name in ["cherry", "testram", "riscb"] {
+        let (chip, lib) = build_chip(paper_chip(name).expect("paper chip"), scale);
+        let run = |feed: &mut dyn GeometryFeed| {
+            let r = extract_feed(feed, name, ExtractOptions::new()).expect("extracts");
+            (r, feed.stats().max_pending)
+        };
+        // Building the feed is timed too: the eager feed flattens and
+        // sorts the whole chip there.
+        let (lazy_t, (lazy, lazy_pending)) = timed(|| run(&mut LazyFeed::new(&lib)));
+        let (eager_t, (eager, eager_pending)) = timed(|| run(&mut EagerFeed::new(&lib)));
+        assert_same_wirelist(&lazy, &eager, name);
+        lazy_peak = lazy_peak.max(lazy_pending);
+        let _ = writeln!(
+            out,
+            "{:<9} {:>8} | {:>8.3} {:>9} | {:>8.3} {:>9} | {:>9.2}x",
+            name,
+            chip.boxes,
+            lazy_t,
+            lazy_pending,
+            eager_t,
+            eager_pending,
+            eager_t / lazy_t,
+        );
+    }
+    let _ = writeln!(
+        out,
+        "\nshape check: the lazy feed's pending queue peaks at {lazy_peak} entries, \
+         bounded by placements, while the eager feed holds every box of the \
+         chip — 'the complete geometry of the chip is never instantiated (so \
+         never sorted) at the same time'. Both feeds wrote byte-identical \
+         wirelists."
+    );
+    out
+}
+
 fn hext_table_4_1(scale: f64) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -387,9 +500,7 @@ fn hext_table_4_1(scale: f64) -> String {
     // k = the cost of extracting one cell (the paper's 6.0 s row).
     let k = {
         let lib = Library::from_cif_text(&square_array_cif(0)).expect("valid");
-        let t0 = Instant::now();
-        let _ = extract_hierarchical(&lib, "cell");
-        secs(t0.elapsed())
+        timed(|| extract_hierarchical(&lib, "cell")).0
     };
     let _ = writeln!(
         out,
@@ -401,12 +512,9 @@ fn hext_table_4_1(scale: f64) -> String {
     for (i, s) in (5..=max_side).enumerate() {
         let cif = square_array_cif(s);
         let lib = Library::from_cif_text(&cif).expect("valid");
-        let t0 = Instant::now();
-        let _hext = extract_hierarchical(&lib, "array");
-        let hext_t = secs(t0.elapsed());
-        let t0 = Instant::now();
-        let flat = extract_library(&lib, "array", ExtractOptions::new()).expect("extracts");
-        let flat_t = secs(t0.elapsed());
+        let (hext_t, _hext) = timed(|| extract_hierarchical(&lib, "array"));
+        let (flat_t, flat) =
+            timed(|| extract_library(&lib, "array", ExtractOptions::new()).expect("extracts"));
         assert_eq!(flat.netlist.device_count() as u64, square_array_cells(s));
         let paper_row = paper::HEXT_TABLE_4_1.get(i);
         let _ = writeln!(
@@ -455,12 +563,9 @@ fn hext_table_5_1(scale: f64) -> String {
     for row in paper::HEXT_TABLE_5_1 {
         let spec = paper_chip(row.name).expect("paper chip");
         let (_chip, lib) = build_chip(spec, scale);
-        let t0 = Instant::now();
-        let hext = extract_hierarchical(&lib, row.name);
-        let hext_t = secs(t0.elapsed());
-        let t0 = Instant::now();
-        let _ = extract_library(&lib, row.name, ExtractOptions::new()).expect("extracts");
-        let ace_t = secs(t0.elapsed());
+        let (hext_t, hext) = timed(|| extract_hierarchical(&lib, row.name));
+        let (ace_t, _) =
+            timed(|| extract_library(&lib, row.name, ExtractOptions::new()).expect("extracts"));
         let _ = writeln!(
             out,
             "{:<9} | {:>7} {:>7} {:>7} {:>7} | {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>8.2}",
@@ -546,5 +651,11 @@ mod tests {
         assert!(t.contains("worst case"));
         let t = run_experiment(Experiment::AceTimeDistribution, 0.005);
         assert!(t.contains("distribution"));
+        // The two ablations also assert that their paths agree byte
+        // for byte.
+        let t = run_experiment(Experiment::AceSorting, 0.01);
+        assert!(t.contains("bin sort"));
+        let t = run_experiment(Experiment::AceFrontEnd, 0.01);
+        assert!(t.contains("riscb"));
     }
 }

@@ -1,10 +1,10 @@
 //! Benchmark harness for the ACE / HEXT reproduction.
 //!
-//! Each function in [`experiments`] regenerates one table or figure
-//! of the papers' evaluations and returns it as formatted text with
-//! the paper's published numbers alongside the measured ones. The
-//! `repro` binary drives them; the Criterion benches in `benches/`
-//! cover the same workloads for statistically careful timing.
+//! Each function in [`experiments`] regenerates one table, figure or
+//! design-decision ablation of the papers' evaluations and returns it
+//! as formatted text with the paper's published numbers or claims
+//! alongside the measured ones. The `repro` binary drives them;
+//! performance claims belong to `perfbench`, a workspace of its own.
 //!
 //! Absolute times are of course not comparable with a VAX-11/780 —
 //! what must match is the *shape*: linearity of the flat extractor,

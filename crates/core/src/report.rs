@@ -9,8 +9,8 @@ use ace_layout::probe::Span;
 /// "Step 2.a takes O(N) time, because a simple insertion sort is used
 /// … The term containing N^{3/2} can be made linear by using bin-sort
 /// instead of insertion-sort, but c₁ is so small that it has not been
-/// necessary to do so." (§4.) Both are provided so the ablation bench
-/// can compare them.
+/// necessary to do so." (§4.) Both are provided so the `ace-sorting`
+/// experiment of `repro` can compare them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SortStrategy {
     /// The paper's insertion sort.

@@ -173,14 +173,24 @@ impl Daemon {
         }
     }
 
-    /// Listens on a Unix socket at `path` (a stale socket file from a
-    /// previous run is replaced). The accept loop runs on its own
-    /// thread until shutdown.
+    /// Listens on a Unix socket at `path`. The accept loop runs on its
+    /// own thread until shutdown.
+    ///
+    /// A socket file that accepts a connection belongs to a live
+    /// daemon and is left alone; any other file at `path` (a stale
+    /// socket from a previous run) is replaced.
     ///
     /// # Errors
     ///
-    /// Propagates bind failures.
+    /// [`io::ErrorKind::AddrInUse`] when a live daemon serves `path`;
+    /// otherwise propagates bind failures.
     pub fn serve_unix(&self, path: &Path) -> io::Result<()> {
+        if UnixStream::connect(path).is_ok() {
+            return Err(io::Error::new(
+                io::ErrorKind::AddrInUse,
+                format!("a live daemon already serves {}", path.display()),
+            ));
+        }
         if path.exists() {
             std::fs::remove_file(path)?;
         }
@@ -1227,6 +1237,29 @@ mod tests {
         join_within_5s(&daemon);
         assert!(!path.exists(), "join must unlink {}", path.display());
         assert!(client.status().is_err(), "the idle client is hung up on");
+    }
+
+    #[test]
+    fn a_live_daemons_socket_is_refused_and_a_stale_one_replaced() {
+        let path = std::env::temp_dir().join(format!("aced-twice-{}.sock", std::process::id()));
+        let first = Daemon::new(ServiceConfig::default());
+        first.serve_unix(&path).expect("bind");
+        let second = Daemon::new(ServiceConfig::default());
+        let err = second.serve_unix(&path).expect_err("the path is live");
+        assert_eq!(err.kind(), io::ErrorKind::AddrInUse);
+        let mut client = Client::connect_unix(&path).expect("connect");
+        client.status().expect("the first daemon still answers");
+        join_within_5s(&second);
+        join_within_5s(&first);
+
+        // A listener dropped without unlinking leaves a stale socket.
+        drop(UnixListener::bind(&path).expect("bind the stale socket"));
+        assert!(path.exists());
+        let third = Daemon::new(ServiceConfig::default());
+        third.serve_unix(&path).expect("a stale socket is replaced");
+        let mut client = Client::connect_unix(&path).expect("connect");
+        client.status().expect("the replacement answers");
+        join_within_5s(&third);
     }
 
     #[test]

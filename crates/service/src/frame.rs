@@ -47,8 +47,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// Reads one frame. Returns `Ok(None)` on a clean EOF at a frame
 /// boundary (the peer closed the connection between messages).
 ///
-/// The payload buffer grows as its bytes arrive, so a length prefix
-/// alone never reserves the memory it announces.
+/// The payload buffer starts at the announced length capped at 64 KiB
+/// and grows as further bytes arrive: a small frame takes one read
+/// after its prefix, and a length prefix alone never reserves more
+/// than 64 KiB of the memory it announces.
 ///
 /// # Errors
 ///
@@ -79,7 +81,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("frame length {len} exceeds cap"),
         ));
     }
-    let mut payload = Vec::new();
+    let mut payload = Vec::with_capacity(len.min(64 * 1024));
     r.take(len as u64).read_to_end(&mut payload)?;
     if payload.len() < len {
         return Err(io::Error::new(
@@ -182,12 +184,14 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
-    /// A reader that records the largest buffer it is handed.
-    struct Widest<'a>(&'a [u8], usize);
+    /// A reader over `.0` that counts its calls in `.1` and records the
+    /// largest buffer it is handed in `.2`.
+    struct Recording<'a>(&'a [u8], usize, usize);
 
-    impl Read for Widest<'_> {
+    impl Read for Recording<'_> {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            self.1 = self.1.max(buf.len());
+            self.1 += 1;
+            self.2 = self.2.max(buf.len());
             self.0.read(buf)
         }
     }
@@ -195,13 +199,22 @@ mod tests {
     #[test]
     fn a_bare_length_prefix_reserves_nothing() {
         let prefix = (MAX_FRAME_BYTES as u32).to_be_bytes();
-        let mut r = Widest(&prefix, 0);
+        let mut r = Recording(&prefix, 0, 0);
         let err = read_frame(&mut r).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         assert!(
-            r.1 < 1024 * 1024,
+            r.2 < 1024 * 1024,
             "a 64 MiB prefix was handed {} bytes",
-            r.1
+            r.2
         );
+    }
+
+    #[test]
+    fn a_small_frame_takes_one_read_after_its_prefix() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &[7u8; 2048]).unwrap();
+        let mut r = Recording(&buf, 0, 0);
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), [7u8; 2048]);
+        assert!(r.1 <= 2, "a 2 KiB frame took {} reads", r.1);
     }
 }

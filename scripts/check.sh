@@ -2,8 +2,7 @@
 # Offline CI gate: build, test, and check formatting.
 #
 # Runs entirely without network access: every external dependency is
-# vendored under vendor/ as a path dependency (see Cargo.toml), and
-# crates/bench's criterion harnesses are feature-gated.
+# vendored under vendor/ as a path dependency (see Cargo.toml).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -17,12 +16,6 @@ echo "==> build the benchmark"
 # change to an API the benchmark calls fail CI, not the benchmark run.
 CARGO_TARGET_DIR=target/perfbench cargo build --release --offline --locked \
     --manifest-path perfbench/Cargo.toml
-
-echo "==> compile the criterion benches"
-# crates/bench's criterion harnesses are feature-gated, so neither the
-# build nor the test step compiles them. Compiling them here makes a
-# change to an API a harness calls fail CI, not the next bench run.
-cargo bench --offline -p ace-bench --features bench_harness --no-run
 
 echo "==> cargo test"
 cargo test --offline -q
@@ -126,9 +119,7 @@ echo "==> aced service smoke"
 # Starts the daemon on a throwaway socket, runs service_load --smoke
 # against it (4 concurrent clients; every wire answer must match the
 # in-process extractor), then asserts a clean SIGTERM shutdown: exit 0
-# and the socket file unlinked. service_load lives in ace-bench, which
-# is not a default workspace member, so the build above skips it.
-cargo build --release --offline -p ace-bench
+# and the socket file unlinked.
 aced_sock=$(mktemp -u /tmp/aced-check-XXXXXX.sock)
 target/release/aced --socket "$aced_sock" &
 aced_pid=$!
