@@ -22,7 +22,7 @@ use std::process::ExitCode;
 
 use ace_conformance::backends::{parse_backend_list, BackendId};
 use ace_conformance::corpus;
-use ace_conformance::runner::{run_with, RunConfig};
+use ace_conformance::runner::{run_with, Check, RunConfig};
 use ace_conformance::shrink::DEFAULT_BUDGET;
 
 const USAGE: &str = "usage: conformance [--seed S] [--cases N] [--backends a,b,c]
@@ -51,6 +51,7 @@ fuzz options
   --drc             also require the ace_drc sweep checker to match a
                     brute-force compressed-grid oracle and stay invariant
                     under re-fracturing (reversed feed, band splits)
+                    (at most one of --lint-agreement, --parasitics, --drc)
   --quiet           only print the summary
   --emit-case I     print case I's generated CIF (for triage) and exit";
 
@@ -61,9 +62,8 @@ struct Args {
     repro_dir: PathBuf,
     corpus_dir: PathBuf,
     shrink_budget: u32,
-    lint_agreement: bool,
-    parasitics: bool,
-    drc: bool,
+    /// The check and the flag that chose it.
+    check: Option<(Check, &'static str)>,
     quiet: bool,
     mode: Mode,
 }
@@ -85,9 +85,7 @@ fn parse_args() -> Result<Args, String> {
         repro_dir: PathBuf::from("conformance/repros"),
         corpus_dir: PathBuf::from("conformance/corpus"),
         shrink_budget: DEFAULT_BUDGET,
-        lint_agreement: false,
-        parasitics: false,
-        drc: false,
+        check: None,
         quiet: false,
         mode: Mode::Fuzz,
     };
@@ -113,9 +111,17 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--shrink-budget: {e}"))?;
             }
-            "--lint-agreement" => args.lint_agreement = true,
-            "--parasitics" => args.parasitics = true,
-            "--drc" => args.drc = true,
+            "--lint-agreement" | "--parasitics" | "--drc" => {
+                let (check, name) = match flag.as_str() {
+                    "--lint-agreement" => (Check::Lints, "--lint-agreement"),
+                    "--parasitics" => (Check::Parasitics, "--parasitics"),
+                    _ => (Check::Drc, "--drc"),
+                };
+                if let Some((_, first)) = args.check {
+                    return Err(format!("{name} conflicts with {first}: one check per run"));
+                }
+                args.check = Some((check, name));
+            }
             "--quiet" => args.quiet = true,
             "--emit-case" => {
                 args.mode = Mode::EmitCase(
@@ -130,6 +136,9 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag '{other}'")),
         }
+    }
+    if let (Some((_, name)), false) = (args.check, args.mode == Mode::Fuzz) {
+        return Err(format!("{name} applies only to fuzz runs"));
     }
     Ok(args)
 }
@@ -249,27 +258,19 @@ fn fuzz(args: &Args) -> ExitCode {
         backends: args.backends.clone(),
         repro_dir: Some(args.repro_dir.clone()),
         shrink_budget: args.shrink_budget,
-        lint_agreement: args.lint_agreement,
-        parasitics: args.parasitics,
-        drc: args.drc,
+        check: args.check.map_or(Check::Netlists, |(check, _)| check),
     };
     let names: Vec<&str> = config.backends.iter().map(|b| b.name()).collect();
     println!(
-        "conformance: seed {} cases {} backends {}{}{}",
+        "conformance: seed {} cases {} backends {}{}",
         config.seed,
         config.cases,
         names.join(","),
-        if config.lint_agreement {
-            " (+lint agreement)"
-        } else {
-            ""
-        },
-        if config.parasitics {
-            " (+parasitics)"
-        } else if config.drc {
-            " (+drc)"
-        } else {
-            ""
+        match config.check {
+            Check::Netlists => "",
+            Check::Lints => " (+lint agreement)",
+            Check::Parasitics => " (+parasitics)",
+            Check::Drc => " (+drc)",
         }
     );
     let quiet = args.quiet;

@@ -83,6 +83,6 @@ pub use harness::{case_seed, check_agreement, diverges, Divergence};
 pub use incremental::{check_edit_case, run_edit_cases, EditCaseFailure};
 pub use lints::{check_agreement_with_lints, lint_signature};
 pub use parasitics::{check_agreement_with_parasitics, oracle_check, parasitic_signature};
-pub use runner::{run, run_with, DivergentCase, RunConfig, RunSummary};
+pub use runner::{run, run_with, Check, DivergentCase, RunConfig, RunSummary};
 pub use shrink::{shrink, shrink_with_budget, ShrinkStats};
 pub use strategies::LayoutStrategy;

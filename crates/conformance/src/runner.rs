@@ -10,6 +10,7 @@
 
 use std::path::PathBuf;
 
+use ace_core::ExtractError;
 use ace_layout::Library;
 use ace_wirelist::{write_wirelist, WirelistOptions};
 use rand::SeedableRng;
@@ -22,6 +23,41 @@ use crate::lints::check_agreement_with_lints;
 use crate::parasitics::check_agreement_with_parasitics;
 use crate::shrink::{shrink_with_budget, ShrinkStats};
 use crate::strategies::LayoutStrategy;
+
+/// What every case of a fuzz run must agree on. One run makes one
+/// check, and shrinks a divergence against that check.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Check {
+    /// Every backend extracts the same circuit.
+    #[default]
+    Netlists,
+    /// Also identical `ace_lint` diagnostics from every backend
+    /// (`--lint-agreement`); see [`crate::lints`].
+    Lints,
+    /// Also identical per-net parasitic totals from every backend,
+    /// with the reference checked against the brute-force oracle
+    /// (`--parasitics`); see [`crate::parasitics`].
+    Parasitics,
+    /// Also the DRC sweep checker matches the brute-force oracle and
+    /// stays decomposition-invariant (`--drc`); see [`crate::drc`].
+    Drc,
+}
+
+impl Check {
+    /// Applies this check to one layout.
+    fn run(
+        self,
+        lib: &Library,
+        backends: &[BackendId],
+    ) -> Result<Option<Divergence>, ExtractError> {
+        match self {
+            Check::Netlists => check_agreement(lib, backends),
+            Check::Lints => check_agreement_with_lints(lib, backends),
+            Check::Parasitics => check_agreement_with_parasitics(lib, backends),
+            Check::Drc => check_agreement_with_drc(lib, backends),
+        }
+    }
+}
 
 /// Configuration of one fuzz run.
 #[derive(Debug, Clone)]
@@ -36,22 +72,13 @@ pub struct RunConfig {
     pub repro_dir: Option<PathBuf>,
     /// Oracle-call budget per shrink.
     pub shrink_budget: u32,
-    /// Also require identical `ace_lint` diagnostics from every
-    /// backend (`--lint-agreement`); see [`crate::lints`].
-    pub lint_agreement: bool,
-    /// Also require identical per-net parasitic totals from every
-    /// backend, with the reference checked against the brute-force
-    /// oracle (`--parasitics`); see [`crate::parasitics`].
-    pub parasitics: bool,
-    /// Also require the DRC sweep checker to match the brute-force
-    /// oracle and stay decomposition-invariant (`--drc`); see
-    /// [`crate::drc`].
-    pub drc: bool,
+    /// What every case must agree on.
+    pub check: Check,
 }
 
 impl RunConfig {
-    /// A run over all five backends with the default shrink budget
-    /// and no repro directory.
+    /// A netlist-agreement run over every backend with the default
+    /// shrink budget and no repro directory.
     pub fn new(seed: u64, cases: u32) -> Self {
         RunConfig {
             seed,
@@ -59,28 +86,8 @@ impl RunConfig {
             backends: BackendId::ALL.to_vec(),
             repro_dir: None,
             shrink_budget: crate::shrink::DEFAULT_BUDGET,
-            lint_agreement: false,
-            parasitics: false,
-            drc: false,
+            check: Check::Netlists,
         }
-    }
-
-    /// Enables lint agreement checking.
-    pub fn with_lint_agreement(mut self) -> Self {
-        self.lint_agreement = true;
-        self
-    }
-
-    /// Enables parasitic agreement checking.
-    pub fn with_parasitics(mut self) -> Self {
-        self.parasitics = true;
-        self
-    }
-
-    /// Enables DRC oracle and decomposition-invariance checking.
-    pub fn with_drc(mut self) -> Self {
-        self.drc = true;
-        self
     }
 }
 
@@ -128,15 +135,7 @@ pub fn run_with(
 ) -> Result<RunSummary, String> {
     let mut by_strategy: std::collections::BTreeMap<String, u32> = Default::default();
     let mut divergent = Vec::new();
-    let check = if config.drc {
-        check_agreement_with_drc
-    } else if config.parasitics {
-        check_agreement_with_parasitics
-    } else if config.lint_agreement {
-        check_agreement_with_lints
-    } else {
-        check_agreement
-    };
+    let check = |lib: &Library| config.check.run(lib, &config.backends);
 
     for index in 0..config.cases {
         let seed = case_seed(config.seed, index);
@@ -149,7 +148,7 @@ pub fn run_with(
         let lib = Library::from_cif_text(&cif).map_err(|e| {
             format!("case {index} (seed {seed}, {name}): generated CIF invalid: {e}")
         })?;
-        let outcome = check(&lib, &config.backends)
+        let outcome = check(&lib)
             .map_err(|e| format!("case {index} (seed {seed}, {name}): reference failed: {e}"))?;
 
         progress(index, &name, outcome.as_ref());
@@ -158,8 +157,7 @@ pub fn run_with(
         // The shrinker keeps a layout while it still fails the same
         // check; layouts that no longer parse or extract do not count.
         let mut oracle = |text: &str| {
-            Library::from_cif_text(text)
-                .is_ok_and(|lib| matches!(check(&lib, &config.backends), Ok(Some(_))))
+            Library::from_cif_text(text).is_ok_and(|lib| matches!(check(&lib), Ok(Some(_))))
         };
         let (small, stats) = shrink_with_budget(&cif, &mut oracle, config.shrink_budget);
         let repro_cif = render_repro(config, index, seed, &name, &divergence, &small);

@@ -94,12 +94,9 @@ use ace_layout::{
 
 use crate::backend::CircuitExtractor;
 use crate::extract::{ExtractError, Extraction};
-use std::sync::Mutex;
-
-use crate::parallel::stitch;
+use crate::parallel::{stitch, sweep_bands};
 use crate::probe::{Counter, CounterProbe, Lane, Probe, Span};
 use crate::report::ExtractOptions;
-use crate::scheduler::run_jobs;
 use crate::sweep::Extractor;
 
 /// Outer window bound for the bottom and top bands: far beyond any
@@ -431,36 +428,17 @@ impl CircuitExtractor for IncrementalExtractor {
         // scheduler, exactly like the band-parallel driver: window
         // mode along the fixed seams, one lane per band so traces
         // show which bands ran, and one worker per host core (not
-        // per dirty band) draining the jobs.
-        let mut band_base = self.options;
-        band_base.threads = None;
-        band_base.bands = None;
-        let work: Vec<(usize, u64, Mutex<Option<FlatLayout>>)> = resweep
-            .iter()
-            .map(|&(i, hash)| (i, hash, Mutex::new(Some(self.bands[i].clone()))))
-            .collect();
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let (fresh, steal) = run_jobs(workers, work.len(), |j| {
-            let &(i, hash, ref slot) = &work[j];
-            let band = slot
-                .lock()
-                .expect("band slot lock")
-                .take()
-                .expect("each dirty band sweeps once");
-            let band_name = format!("{name}.band{i}");
-            let band_options = band_base.with_window(windows[i]);
-            let lane = Lane::band(i);
-            p.enter(lane, Span::Band);
-            let mut feed = EagerFeed::from_flat(band).with_probe(p, lane);
-            let result = Extractor::with_probe(band_options, p)
-                .on_lane(lane)
-                .run(&mut feed, &band_name);
-            p.exit(lane, Span::Band);
-            (i, hash, result)
-        });
-        p.add(Lane::MAIN, Counter::BandsStolen, steal.stolen);
-        p.add(Lane::MAIN, Counter::StealWaitNs, steal.wait_ns);
-        for (i, hash, result) in fresh {
+        // per dirty band) draining the jobs. The options request no
+        // banding (checked above), so they pass to the bands as is.
+        let (fresh, workers) = sweep_bands(
+            resweep.iter().map(|&(i, _)| (i, self.bands[i].clone())),
+            &windows,
+            name,
+            self.options,
+            std::thread::available_parallelism().map_or(1, |n| n.get()),
+            p,
+        );
+        for (&(i, hash), result) in resweep.iter().zip(fresh) {
             self.cache[i] = Some(BandSlot {
                 hash,
                 bytes: extraction_bytes(&result),
@@ -472,35 +450,16 @@ impl CircuitExtractor for IncrementalExtractor {
 
         // Stitch cached and fresh band results alike into the full
         // circuit (same code path as the band-parallel extractor).
-        p.enter(Lane::MAIN, Span::Stitch);
         let refs: Vec<&Extraction> = self
             .cache
             .iter()
             .map(|slot| &slot.as_ref().expect("every band cached").result)
             .collect();
-        let (mut netlist, stats, seam_unresolved) =
-            stitch(&refs, &self.cuts, &self.seam_labels, self.options);
-        netlist.name = name.to_string();
-        p.exit(Lane::MAIN, Span::Stitch);
-        p.add(Lane::MAIN, Counter::SeamContacts, stats.seam_contacts);
-        p.add(Lane::MAIN, Counter::PairsMatched, stats.pairs_matched);
-        p.add(Lane::MAIN, Counter::SeamNetUnions, stats.net_unions);
-        p.add(Lane::MAIN, Counter::DeviceMerges, stats.device_merges);
-        p.add(
-            Lane::MAIN,
-            Counter::TerminalContacts,
-            stats.terminal_contacts,
-        );
-        p.add(
-            Lane::MAIN,
-            Counter::PartialsCompleted,
-            stats.partials_completed,
-        );
-        p.add(Lane::MAIN, Counter::UnresolvedLabels, seam_unresolved);
+        let netlist = stitch(&refs, &self.cuts, &self.seam_labels, name, self.options, p);
         p.exit(Lane::MAIN, Span::Extract);
 
         let mut report = counters.report();
-        report.threads = steal.workers.max(1);
+        report.threads = workers.max(1);
         report.bands = n;
 
         Ok(Extraction {

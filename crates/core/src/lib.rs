@@ -78,9 +78,9 @@ pub use incremental::IncrementalExtractor;
 pub use nets::{NetData, NetTable};
 pub use parallel::{extract_banded, extract_banded_probed};
 pub use probe::{
-    ChromeTraceProbe, Counter, CounterProbe, Lane, NullProbe, Probe, Span, SummaryProbe, TraceEvent,
+    ChromeTraceProbe, Counter, CounterProbe, Lane, NullProbe, Probe, Span, TraceEvent,
 };
-pub use report::{BandReport, ExtractOptions, ExtractionReport, Phase, SortStrategy, StitchStats};
+pub use report::{ExtractOptions, ExtractionReport, Phase, SortStrategy, StitchStats};
 pub use scheduler::{PoolStats, SubmitError, WorkerPool};
 pub use strip::{
     abutting, find_containing, overlap_pairs, overlap_pairs_into, overlapping, Fragment,

@@ -153,66 +153,22 @@ fn banded(
         })
         .collect();
 
-    // Hand the bands to the work-stealing scheduler: `workers`
-    // threads drain `n` band jobs, each band still sweeping on its
-    // own lane so traces and band reports stay per-band. The band
-    // layouts pass through Mutex<Option<_>> slots because a job body
-    // only gets its index (the repo forbids unsafe, so no raw takes).
-    let band_inputs: Vec<Mutex<Option<FlatLayout>>> = partition
-        .bands
-        .into_iter()
-        .map(|band| Mutex::new(Some(band)))
-        .collect();
-    let workers = worker_count(&options);
-    let (results, steal) = run_jobs(workers, n, |i| {
-        let band = band_inputs[i]
-            .lock()
-            .expect("band slot lock")
-            .take()
-            .expect("each band job runs once");
-        let band_name = format!("{name}.band{i}");
-        let band_options = band_base.with_window(windows[i]);
-        let lane = Lane::band(i);
-        p.enter(lane, Span::Band);
-        let mut feed = EagerFeed::from_flat(band).with_probe(p, lane);
-        let result = Extractor::with_probe(band_options, p)
-            .on_lane(lane)
-            .run(&mut feed, &band_name);
-        p.exit(lane, Span::Band);
-        result
-    });
-    p.add(Lane::MAIN, Counter::BandsStolen, steal.stolen);
-    p.add(Lane::MAIN, Counter::StealWaitNs, steal.wait_ns);
-
-    p.enter(Lane::MAIN, Span::Stitch);
+    let (results, workers) = sweep_bands(
+        partition.bands.into_iter().enumerate(),
+        &windows,
+        name,
+        band_base,
+        worker_count(&options),
+        p,
+    );
     let refs: Vec<&Extraction> = results.iter().collect();
-    let (mut netlist, stats, seam_unresolved) =
-        stitch(&refs, cuts, &partition.seam_labels, options);
-    // The stitched netlist is assembled from scratch; carry the
-    // caller's title over (band results only hold "<name>.bandN").
-    netlist.name = name.to_string();
-    p.exit(Lane::MAIN, Span::Stitch);
-    p.add(Lane::MAIN, Counter::SeamContacts, stats.seam_contacts);
-    p.add(Lane::MAIN, Counter::PairsMatched, stats.pairs_matched);
-    p.add(Lane::MAIN, Counter::SeamNetUnions, stats.net_unions);
-    p.add(Lane::MAIN, Counter::DeviceMerges, stats.device_merges);
-    p.add(
-        Lane::MAIN,
-        Counter::TerminalContacts,
-        stats.terminal_contacts,
-    );
-    p.add(
-        Lane::MAIN,
-        Counter::PartialsCompleted,
-        stats.partials_completed,
-    );
-    p.add(Lane::MAIN, Counter::UnresolvedLabels, seam_unresolved);
+    let netlist = stitch(&refs, cuts, &partition.seam_labels, name, options, p);
     p.exit(Lane::MAIN, Span::Extract);
 
     let mut report: ExtractionReport = counters.report();
     // The report view sets threads = bands (lanes); the scheduler
     // knows how many workers actually drained them.
-    report.threads = steal.workers;
+    report.threads = workers;
     report.bands = n;
 
     Ok(Extraction {
@@ -220,6 +176,47 @@ fn banded(
         report,
         window: None,
     })
+}
+
+/// Sweeps band slices on `workers` threads of the work-stealing
+/// scheduler: each job takes its `(band, slice)`, sweeps the slice in
+/// window mode over `windows[band]` on the band's own lane inside
+/// [`Span::Band`], and the steal statistics are added once all jobs
+/// are done. The slices pass through `Mutex<Option<_>>` slots because
+/// a job body only gets its index (the repo forbids unsafe, so no raw
+/// takes). Returns the results in slice order and the number of
+/// workers that drained them.
+pub(crate) fn sweep_bands(
+    slices: impl Iterator<Item = (usize, FlatLayout)>,
+    windows: &[Rect],
+    name: &str,
+    options: ExtractOptions,
+    workers: usize,
+    p: &dyn Probe,
+) -> (Vec<Extraction>, usize) {
+    let slots: Vec<(usize, Mutex<Option<FlatLayout>>)> = slices
+        .map(|(band, slice)| (band, Mutex::new(Some(slice))))
+        .collect();
+    let (results, steal) = run_jobs(workers, slots.len(), |j| {
+        let (band, ref slot) = slots[j];
+        let slice = slot
+            .lock()
+            .expect("band slot lock")
+            .take()
+            .expect("each band job runs once");
+        let band_name = format!("{name}.band{band}");
+        let lane = Lane::band(band);
+        p.enter(lane, Span::Band);
+        let mut feed = EagerFeed::from_flat(slice).with_probe(p, lane);
+        let result = Extractor::with_probe(options.with_window(windows[band]), p)
+            .on_lane(lane)
+            .run(&mut feed, &band_name);
+        p.exit(lane, Span::Band);
+        result
+    });
+    p.add(Lane::MAIN, Counter::BandsStolen, steal.stolen);
+    p.add(Lane::MAIN, Counter::StealWaitNs, steal.wait_ns);
+    (results, steal.workers)
 }
 
 /// Global ids for one band: its nets and its devices are offset into
@@ -240,15 +237,20 @@ impl BandSpace {
 }
 
 /// Stitches per-band window extractions (bottom to top, one per band
-/// between consecutive `cuts`) into one flat circuit. Shared with the
-/// incremental extractor, which mixes cached and freshly-swept band
-/// results — hence the slice of references.
+/// between consecutive `cuts`) into one flat circuit titled `name`,
+/// inside a [`Span::Stitch`] on the main lane that also carries the
+/// stitch counters. Shared with the incremental extractor, which
+/// mixes cached and freshly-swept band results — hence the slice of
+/// references.
 pub(crate) fn stitch(
     results: &[&Extraction],
     cuts: &[Coord],
     seam_labels: &[FlatLabel],
+    name: &str,
     options: ExtractOptions,
-) -> (Netlist, StitchStats, u64) {
+    p: &dyn Probe,
+) -> Netlist {
+    p.enter(Lane::MAIN, Span::Stitch);
     let mut stats = StitchStats::default();
     let n = results.len();
 
@@ -474,8 +476,21 @@ pub(crate) fn stitch(
     for device in devices {
         netlist.add_device(device);
     }
+    netlist.name = name.to_string();
 
-    (netlist, stats, seam_unresolved)
+    for (counter, delta) in [
+        (Counter::SeamContacts, stats.seam_contacts),
+        (Counter::PairsMatched, stats.pairs_matched),
+        (Counter::SeamNetUnions, stats.net_unions),
+        (Counter::DeviceMerges, stats.device_merges),
+        (Counter::TerminalContacts, stats.terminal_contacts),
+        (Counter::PartialsCompleted, stats.partials_completed),
+        (Counter::UnresolvedLabels, seam_unresolved),
+    ] {
+        p.add(Lane::MAIN, counter, delta);
+    }
+    p.exit(Lane::MAIN, Span::Stitch);
+    netlist
 }
 
 fn band_window(r: &Extraction) -> &WindowExtraction {

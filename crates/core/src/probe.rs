@@ -4,7 +4,7 @@
 //! The [`Probe`] trait itself (plus [`Lane`], [`Span`], [`Counter`],
 //! and [`NullProbe`]) lives in `ace_layout::probe` — the lowest layer
 //! that emits events — and is re-exported here. This module adds the
-//! three sinks:
+//! two sinks:
 //!
 //! * [`CounterProbe`] — aggregates durations, totals, and high-water
 //!   marks per lane; [`ExtractionReport`] is a *view* over it
@@ -15,20 +15,24 @@
 //!   `chrome://tracing` JSON with one track (tid) per lane, so a
 //!   banded extraction renders as one lane per band worker plus the
 //!   main lane holding the stitch span.
-//! * [`SummaryProbe`] — a §5-style phase-percentage table ("40% for
-//!   parsing … 15% for entering new geometry … 20% for computing
-//!   devices", paper §5).
 //!
-//! Sinks compose with the tuple tee from `ace_layout::probe`:
+//! Sinks compose with the tuple tee from `ace_layout::probe`; the
+//! §5 phase table is the report view's
+//! [`phase_percent`](ExtractionReport::phase_percent):
 //!
 //! ```
-//! use ace_core::probe::{ChromeTraceProbe, Probe, SummaryProbe};
+//! use ace_core::probe::{ChromeTraceProbe, CounterProbe, Probe};
+//! use ace_core::{extract_text_probed, ExtractOptions, Phase};
 //!
 //! let trace = ChromeTraceProbe::new();
-//! let summary = SummaryProbe::new();
-//! let tee = (&trace, &summary);
+//! let counters = CounterProbe::new();
+//! let tee = (&trace, &counters);
 //! let probe: &dyn Probe = &tee; // one run feeds both sinks
-//! # let _ = probe;
+//! extract_text_probed("L NM; B 100 100 0 0; E", ExtractOptions::new(), probe)?;
+//! let report = counters.report();
+//! assert!(report.phase_percent(Phase::Output) <= 100.0);
+//! assert!(!trace.events().is_empty());
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 use std::collections::BTreeMap;
@@ -39,7 +43,7 @@ use std::time::{Duration, Instant};
 pub use ace_layout::probe::{Counter, Lane, NullProbe, Probe, Span};
 
 use crate::json::Json;
-use crate::report::{BandReport, ExtractionReport, Phase, StitchStats};
+use crate::report::{ExtractionReport, Phase, StitchStats};
 
 #[derive(Default)]
 struct CounterInner {
@@ -167,11 +171,11 @@ impl CounterProbe {
     ///
     /// Phase times are summed over lanes (CPU work, not wall clock);
     /// `total_time` is the main lane's [`Span::Extract`] duration, and
-    /// band lanes become [`BandReport`]s. The stitch counters fill
-    /// [`StitchStats`]; `lint_time` and `drc_time` are the
+    /// `threads` and `bands` count the band lanes. The stitch counters
+    /// fill [`StitchStats`]; `lint_time` and `drc_time` are the
     /// [`Span::Lint`] and [`Span::Drc`] durations. The caller still
-    /// owns fields the probe cannot know, such as `threads` for a
-    /// parallel run.
+    /// owns fields the probe cannot know, such as how many workers
+    /// drained the bands of a parallel run.
     pub fn report(&self) -> ExtractionReport {
         let mut report = ExtractionReport {
             boxes: self.total(Counter::Boxes),
@@ -192,26 +196,14 @@ impl CounterProbe {
         } else {
             self.span_time(Span::Extract)
         };
-        for lane in self.lanes() {
-            let Some(band) = lane.band_index() else {
-                continue;
-            };
-            let mut band_report = BandReport {
-                band,
-                boxes: self.lane_total(lane, Counter::Boxes),
-                scanline_stops: self.lane_total(lane, Counter::ScanlineStops),
-                total_time: self.lane_span_time(lane, Span::Extract),
-                ..BandReport::default()
-            };
-            for (i, phase) in Phase::ALL.iter().enumerate() {
-                band_report.phase_times[i] = self.lane_span_time(lane, phase.span());
-            }
-            report.band_reports.push(band_report);
-        }
         // Bands map 1:1 onto lanes; the band-parallel driver lowers
         // `threads` afterwards when fewer workers drained the bands.
-        report.threads = report.band_reports.len();
-        report.bands = report.band_reports.len();
+        report.bands = self
+            .lanes()
+            .iter()
+            .filter(|l| l.band_index().is_some())
+            .count();
+        report.threads = report.bands;
         report.bands_stolen = self.total(Counter::BandsStolen);
         report.steal_wait = Duration::from_nanos(self.total(Counter::StealWaitNs));
         report.lints_emitted = self.total(Counter::LintsEmitted);
@@ -392,85 +384,6 @@ impl Probe for ChromeTraceProbe {
     }
 }
 
-/// Reporting sink: renders the §5-style phase-percentage table.
-///
-/// Wraps a [`CounterProbe`] (exposed via [`counters`](Self::counters))
-/// and formats the four sweep phases as percentages of their sum, so
-/// the column always totals 100 like the paper's breakdown.
-#[derive(Debug, Default)]
-pub struct SummaryProbe {
-    counters: CounterProbe,
-}
-
-impl SummaryProbe {
-    /// An empty summary.
-    pub fn new() -> Self {
-        SummaryProbe::default()
-    }
-
-    /// The underlying aggregate.
-    pub fn counters(&self) -> &CounterProbe {
-        &self.counters
-    }
-
-    /// Percentage of sweep time spent in `phase`, measured against
-    /// the sum of the four phase durations (so the four percentages
-    /// sum to exactly 100; 0 when no phase time was recorded).
-    pub fn phase_percent(&self, phase: Phase) -> f64 {
-        let total: f64 = Phase::ALL
-            .iter()
-            .map(|p| self.counters.span_time(p.span()).as_secs_f64())
-            .sum();
-        if total == 0.0 {
-            0.0
-        } else {
-            100.0 * self.counters.span_time(phase.span()).as_secs_f64() / total
-        }
-    }
-
-    /// The phase table as a string (also available via `Display`).
-    pub fn table(&self) -> String {
-        self.to_string()
-    }
-}
-
-impl Probe for SummaryProbe {
-    fn enter(&self, lane: Lane, span: Span) {
-        self.counters.enter(lane, span);
-    }
-    fn exit(&self, lane: Lane, span: Span) {
-        self.counters.exit(lane, span);
-    }
-    fn add(&self, lane: Lane, counter: Counter, delta: u64) {
-        self.counters.add(lane, counter, delta);
-    }
-    fn gauge(&self, lane: Lane, counter: Counter, value: u64) {
-        self.counters.gauge(lane, counter, value);
-    }
-}
-
-impl fmt::Display for SummaryProbe {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "phase breakdown (share of sweep time):")?;
-        for phase in Phase::ALL {
-            writeln!(
-                f,
-                "  {:>5.1}%  {}",
-                self.phase_percent(phase),
-                phase.label()
-            )?;
-        }
-        write!(
-            f,
-            "  {} boxes, {} stops, {} net unions, max active {}",
-            self.counters.total(Counter::Boxes),
-            self.counters.total(Counter::ScanlineStops),
-            self.counters.total(Counter::NetUnions),
-            self.counters.peak(Counter::MaxActive),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -524,10 +437,8 @@ mod tests {
         assert_eq!(r.boxes, 21);
         assert_eq!(r.scanline_stops, 8);
         assert_eq!(r.net_unions, 2 + 3); // sweep unions + seam unions
-        assert_eq!(r.band_reports.len(), 2);
-        assert_eq!(r.band_reports[0].band, 0);
-        assert_eq!(r.band_reports[1].boxes, 11);
-        assert_eq!(r.threads, 2);
+        assert_eq!((r.threads, r.bands), (2, 2)); // one per band lane
+        assert_eq!(p.lane_total(Lane::band(1), Counter::Boxes), 11);
         assert_eq!(r.stitch.seam_contacts, 7);
         assert_eq!(r.stitch.net_unions, 3);
     }
@@ -572,23 +483,12 @@ mod tests {
     }
 
     #[test]
-    fn summary_percentages_sum_to_100() {
-        let p = SummaryProbe::new();
+    fn empty_report_view_is_all_zero() {
+        let r = CounterProbe::new().report();
         for phase in Phase::ALL {
-            p.enter(Lane::MAIN, phase.span());
-            thread::sleep(Duration::from_millis(1));
-            p.exit(Lane::MAIN, phase.span());
+            assert_eq!(r.phase_percent(phase), 0.0);
         }
-        let sum: f64 = Phase::ALL.iter().map(|ph| p.phase_percent(*ph)).sum();
-        assert!((sum - 100.0).abs() < 1e-6, "sum was {sum}");
-        assert!(p.table().contains("front-end") || p.table().contains("parse/sort"));
-    }
-
-    #[test]
-    fn empty_summary_is_all_zero() {
-        let p = SummaryProbe::new();
-        for phase in Phase::ALL {
-            assert_eq!(p.phase_percent(phase), 0.0);
-        }
+        assert_eq!((r.boxes, r.threads, r.bands), (0, 0, 0));
+        assert_eq!(r.total_time, Duration::ZERO);
     }
 }

@@ -180,23 +180,6 @@ impl fmt::Display for Phase {
     }
 }
 
-/// Per-band instrumentation recorded by the band-parallel driver
-/// (`with_threads`/`with_bands`), one entry per horizontal band,
-/// bottom to top.
-#[derive(Debug, Clone, Default)]
-pub struct BandReport {
-    /// Band index (0 = bottom band).
-    pub band: usize,
-    /// Boxes fed to this band's sweep (clipped copies included).
-    pub boxes: u64,
-    /// Scanline stops this band made.
-    pub scanline_stops: u64,
-    /// Wall-clock time per phase inside this band's sweep.
-    pub phase_times: [Duration; 4],
-    /// This band's total sweep time.
-    pub total_time: Duration,
-}
-
 /// Counters from the seam-stitching pass of the parallel extractor.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StitchStats {
@@ -253,8 +236,6 @@ pub struct ExtractionReport {
     /// Total time workers spent finished while the slowest worker was
     /// still running (the imbalance stealing is there to shrink).
     pub steal_wait: Duration,
-    /// Per-band sweep instrumentation (parallel extraction only).
-    pub band_reports: Vec<BandReport>,
     /// Seam-stitching counters (parallel extraction only).
     pub stitch: StitchStats,
     /// Bands answered from the incremental cache (incremental

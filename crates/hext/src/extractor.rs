@@ -1,7 +1,6 @@
 use std::collections::HashMap;
-use std::time::Instant;
 
-use ace_core::probe::{Counter, Lane, NullProbe, Probe, Span};
+use ace_core::probe::{Counter, CounterProbe, Lane, NullProbe, Probe, Span};
 use ace_core::{CircuitExtractor, ExtractError, ExtractOptions, Extraction, ExtractionReport};
 use ace_geom::{Point, Rect};
 use ace_layout::{BuildLayoutError, EagerFeed, FlatLayout, Library};
@@ -46,12 +45,13 @@ pub fn extract_hierarchical(lib: &Library, name: &str) -> HextExtraction {
 }
 
 /// [`extract_hierarchical`], reporting events to `probe` as it runs:
-/// a [`Span::Window`] per primitive window (with the sweep's phase
-/// spans nested inside), a [`Span::Compose`] per composition, and the
-/// window/compose cache counters.
+/// one [`Span::Extract`] around the run, a [`Span::Window`] per
+/// primitive window (with the sweep's spans nested inside), a
+/// [`Span::Compose`] per composition, and the window/compose cache
+/// counters.
 pub fn extract_hierarchical_probed(lib: &Library, name: &str, probe: &dyn Probe) -> HextExtraction {
     let mut store = SessionStore::default();
-    let report = run_extraction(lib, &mut store, name, probe);
+    let (report, _) = run_extraction(lib, &mut store, name, probe);
     HextExtraction {
         hier: store.hier,
         report,
@@ -140,7 +140,7 @@ impl IncrementalExtractor {
         name: &str,
         probe: &dyn Probe,
     ) -> IncrementalRun {
-        let report = run_extraction(lib, &mut self.store, name, probe);
+        let (report, _) = run_extraction(lib, &mut self.store, name, probe);
         let mut netlist = self.store.hier.flatten();
         netlist.name = name.to_string();
         IncrementalRun { netlist, report }
@@ -160,70 +160,44 @@ impl IncrementalExtractor {
 
 /// Runs one extraction against a (possibly pre-populated) store and
 /// leaves the store's wirelist top pointing at the result.
+///
+/// The run is one [`Span::Extract`] on the main lane, teed into a
+/// [`CounterProbe`]; both reports are views over that aggregate.
 fn run_extraction(
     lib: &Library,
     store: &mut SessionStore,
     name: &str,
     probe: &dyn Probe,
-) -> HextReport {
+) -> (HextReport, ExtractionReport) {
+    let counters = CounterProbe::new();
+    let tee = (&counters, probe);
+    tee.enter(Lane::MAIN, Span::Extract);
     store.hier.name = name.to_string();
     let mut state = State {
         lib,
         store,
-        report: HextReport::default(),
-        probe,
+        probe: &tee,
     };
-
-    let Some(content) = Content::chip(lib) else {
-        // An empty chip: give the wirelist an empty top part.
-        let top = state.store.hier.add_part(PartDef {
-            name: "chip".to_string(),
-            ..PartDef::default()
-        });
-        state.store.hier.set_top(top);
-        return state.report;
-    };
-
-    let (idx, pos) = state.analyze(content);
-
-    // Wrap the chip window in a final part that finishes whatever
-    // partial transistors still touch the chip outline.
-    let top_circ = state.store.circuits[idx].clone();
-    let exports = state.store.hier.part(top_circ.part).exports.clone();
-    let export_local: HashMap<u32, u32> = exports
-        .iter()
-        .enumerate()
-        .map(|(i, &e)| (e, i as u32))
-        .collect();
-    let mut wrapper = PartDef {
-        name: "chip".to_string(),
-        net_count: exports.len() as u32,
-        subparts: vec![SubPart {
-            part: top_circ.part,
-            name: "TOP".to_string(),
-            loc_offset: pos,
-            net_map: exports
-                .iter()
-                .enumerate()
-                .map(|(i, &e)| (e, i as u32))
-                .collect(),
-        }],
-        ..PartDef::default()
-    };
-    for p in &top_circ.partials {
-        let mut local = p.clone();
-        local.gate = export_local[&local.gate];
-        for t in &mut local.terminals {
-            t.0 = export_local[&t.0];
+    let unique_windows = match Content::chip(lib) {
+        Some(content) => {
+            state.extract_chip(content);
+            state.store.circuits.len() as u64
         }
-        let mut device = local.finalize();
-        device.location += pos;
-        wrapper.devices.push(device);
-    }
-    let top = state.store.hier.add_part(wrapper);
-    state.store.hier.set_top(top);
-    state.report.unique_windows = state.store.circuits.len() as u64;
-    state.report
+        None => {
+            // An empty chip: give the wirelist an empty top part.
+            let top = state.store.hier.add_part(PartDef {
+                name: "chip".to_string(),
+                ..PartDef::default()
+            });
+            state.store.hier.set_top(top);
+            0
+        }
+    };
+    tee.exit(Lane::MAIN, Span::Extract);
+    (
+        HextReport::from_counters(&counters, unique_windows),
+        counters.report(),
+    )
 }
 
 /// Parses CIF text and extracts it hierarchically.
@@ -241,8 +215,7 @@ pub fn extract_hierarchical_text(
 
 /// The hierarchical window/compose extractor as a
 /// [`CircuitExtractor`] backend: extracts hierarchically, flattens
-/// the wirelist, and reports an [`ExtractionReport`] synthesized from
-/// the [`HextReport`].
+/// the wirelist, and reports the run's [`ExtractionReport`] view.
 pub struct HierarchicalExtractor {
     lib: Library,
 }
@@ -264,14 +237,10 @@ impl CircuitExtractor for HierarchicalExtractor {
         name: &str,
         probe: &dyn Probe,
     ) -> Result<Extraction, ExtractError> {
-        let hext = extract_hierarchical_probed(&self.lib, name, probe);
-        let mut netlist = hext.hier.flatten();
+        let mut store = SessionStore::default();
+        let (_, report) = run_extraction(&self.lib, &mut store, name, probe);
+        let mut netlist = store.hier.flatten();
         netlist.name = name.to_string();
-        let report = ExtractionReport {
-            boxes: hext.report.boxes_extracted,
-            total_time: hext.report.front_end_time + hext.report.back_end_time,
-            ..ExtractionReport::default()
-        };
         Ok(Extraction {
             netlist,
             report,
@@ -283,23 +252,55 @@ impl CircuitExtractor for HierarchicalExtractor {
 struct State<'a> {
     lib: &'a Library,
     store: &'a mut SessionStore,
-    report: HextReport,
     probe: &'a dyn Probe,
 }
 
 impl State<'_> {
+    /// Analyzes the chip window, then wraps it in a final part that
+    /// finishes whatever partial transistors still touch the chip
+    /// outline, and points the wirelist top at that part.
+    fn extract_chip(&mut self, content: Content) {
+        let (idx, pos) = self.analyze(content);
+        let top_circ = &self.store.circuits[idx];
+        let exports = &self.store.hier.part(top_circ.part).exports;
+        let net_map: Vec<(u32, u32)> = (exports.iter().enumerate())
+            .map(|(i, &e)| (e, i as u32))
+            .collect();
+        let export_local: HashMap<u32, u32> = net_map.iter().copied().collect();
+        let mut wrapper = PartDef {
+            name: "chip".to_string(),
+            net_count: net_map.len() as u32,
+            subparts: vec![SubPart {
+                part: top_circ.part,
+                name: "TOP".to_string(),
+                loc_offset: pos,
+                net_map,
+            }],
+            ..PartDef::default()
+        };
+        for p in &top_circ.partials {
+            let mut local = p.clone();
+            local.gate = export_local[&local.gate];
+            for t in &mut local.terminals {
+                t.0 = export_local[&t.0];
+            }
+            let mut device = local.finalize();
+            device.location += pos;
+            wrapper.devices.push(device);
+        }
+        let top = self.store.hier.add_part(wrapper);
+        self.store.hier.set_top(top);
+    }
+
     /// Analyzes one window, returning its circuit index and position
     /// (the window's lower-left corner in the caller's frame).
     fn analyze(&mut self, mut content: Content) -> (usize, Point) {
-        let t_fe = Instant::now();
         let pos = Point::new(content.rect.x_min, content.rect.y_min);
         content.normalize();
         content.canonicalize(self.lib);
         let key = content.key(self.lib);
-        self.report.front_end_time += t_fe.elapsed();
 
         if let Some(&idx) = self.store.window_table.get(&key) {
-            self.report.window_cache_hits += 1;
             self.probe.add(Lane::MAIN, Counter::WindowCacheHits, 1);
             return (idx, pos);
         }
@@ -313,19 +314,16 @@ impl State<'_> {
             // window cannot be subdivided further (a single cluster
             // spanning the whole window), expand the instances one
             // level and re-window.
-            let t_fe = Instant::now();
             let mut subs = current.subdivide(self.lib);
             let no_progress = subs.len() == 1 && subs[0].rect == current.rect;
             if no_progress {
                 current = current.expand_one_level(self.lib);
-                self.report.front_end_time += t_fe.elapsed();
                 continue;
             }
             // "the sub-windows are sorted by the lower-left corner,
             // bottom to top, left to right, and then visited in
             // sorted order."
             subs.sort_by_key(|s| (s.rect.y_min, s.rect.x_min));
-            self.report.front_end_time += t_fe.elapsed();
 
             let mut acc: Option<(usize, Point)> = None;
             for sub in subs {
@@ -343,7 +341,6 @@ impl State<'_> {
     }
 
     fn extract_primitive(&mut self, content: &Content) -> usize {
-        let t = Instant::now();
         self.probe.enter(Lane::MAIN, Span::Window);
         let mut flat = FlatLayout::new();
         for &(layer, r) in &content.boxes {
@@ -361,9 +358,7 @@ impl State<'_> {
             self.probe,
         )
         .expect("window extraction cannot fail");
-        self.report.flat_calls += 1;
         self.probe.add(Lane::MAIN, Counter::FlatCalls, 1);
-        self.report.boxes_extracted += extraction.report.boxes;
 
         let wx = extraction.window.as_ref().expect("window mode is on");
         let name = format!("Window{}", self.store.circuits.len());
@@ -377,7 +372,6 @@ impl State<'_> {
             iface,
             partials,
         });
-        self.report.back_end_time += t.elapsed();
         self.probe.exit(Lane::MAIN, Span::Window);
         self.store.circuits.len() - 1
     }
@@ -386,11 +380,9 @@ impl State<'_> {
         let delta = bp - ap;
         let pc = Point::new(ap.x.min(bp.x), ap.y.min(bp.y));
         if let Some(&ci) = self.store.compose_table.get(&(ai, bi, delta)) {
-            self.report.compose_cache_hits += 1;
             self.probe.add(Lane::MAIN, Counter::ComposeCacheHits, 1);
             return (ci, pc);
         }
-        let t = Instant::now();
         self.probe.enter(Lane::MAIN, Span::Compose);
         let name = format!("Window{}", self.store.circuits.len());
         let store = &mut *self.store;
@@ -402,13 +394,13 @@ impl State<'_> {
             bp - pc,
             name,
         );
-        let elapsed = t.elapsed();
         self.probe.exit(Lane::MAIN, Span::Compose);
-        self.report.compose_time += elapsed;
-        self.report.back_end_time += elapsed;
-        self.report.compose_calls += 1;
         self.probe.add(Lane::MAIN, Counter::ComposeCalls, 1);
-        self.report.partials_completed += stats.partials_completed;
+        self.probe.add(
+            Lane::MAIN,
+            Counter::PartialsCompleted,
+            stats.partials_completed,
+        );
         self.store.circuits.push(circ);
         let ci = self.store.circuits.len() - 1;
         self.store.compose_table.insert((ai, bi, delta), ci);
@@ -421,6 +413,7 @@ mod tests {
     use super::*;
     use ace_core::{extract_library, ExtractOptions};
     use ace_wirelist::compare::same_circuit;
+    use std::time::Duration;
 
     fn check_equivalence(src: &str) -> (HextExtraction, ace_core::Extraction) {
         let lib = Library::from_cif_text(src).expect("valid CIF");
@@ -516,10 +509,36 @@ mod tests {
 
     #[test]
     fn report_counts_activity() {
-        let (hext, _) = check_equivalence(&ace_workloads::array::square_array_cif(2));
-        assert!(hext.report.compose_calls > 0);
-        assert!(hext.report.unique_windows > 0);
-        assert!(hext.report.flat_calls > 0);
+        // The report is the view over the run's events: an external
+        // probe sees the same totals.
+        let lib =
+            Library::from_cif_text(&ace_workloads::array::square_array_cif(3)).expect("valid");
+        let probe = CounterProbe::new();
+        let r = extract_hierarchical_probed(&lib, "array", &probe).report;
+        assert!(r.compose_calls > 0 && r.window_cache_hits > 0, "{r:?}");
+        assert!(r.unique_windows > 0 && r.flat_calls > 0, "{r:?}");
+        let totals = [
+            (r.flat_calls, Counter::FlatCalls),
+            (r.compose_calls, Counter::ComposeCalls),
+            (r.window_cache_hits, Counter::WindowCacheHits),
+            (r.compose_cache_hits, Counter::ComposeCacheHits),
+            (r.boxes_extracted, Counter::Boxes),
+            (r.partials_completed, Counter::PartialsCompleted),
+        ];
+        for (value, counter) in totals {
+            assert_eq!(value, probe.total(counter), "{counter}");
+        }
+        // The run splits into front and back end; composing is part
+        // of the back end.
+        assert_eq!(r.total_time(), r.front_end_time + r.back_end_time);
+        assert!(r.compose_time <= r.back_end_time, "{r:?}");
+        assert!(r.front_end_time > Duration::ZERO, "{r:?}");
+        assert!(r.compose_time > Duration::ZERO, "{r:?}");
+
+        // As a backend, the same run's `ExtractionReport` view.
+        let e = HierarchicalExtractor::new(lib).extract("array").unwrap();
+        assert_eq!(e.report.boxes, r.boxes_extracted);
+        assert!(e.report.scanline_stops > 0);
     }
 
     #[test]

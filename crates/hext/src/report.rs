@@ -1,14 +1,19 @@
 use std::fmt;
 use std::time::Duration;
 
+use ace_core::probe::{Counter, CounterProbe, Lane, Span};
+
 /// Instrumentation for one hierarchical extraction.
 ///
 /// The counters mirror HEXT Table 5-2 ("Calls to flat extractor",
 /// "Calls to compose routine", "% of time spent in composing") plus
-/// the memoization statistics that explain them.
+/// the memoization statistics that explain them. Like
+/// `ExtractionReport`, it is a view over the run's [`CounterProbe`]:
+/// the times are span durations and the counts are counter totals.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HextReport {
-    /// Front-end time: windowing, clustering, slicing, hashing.
+    /// Front-end time: windowing, clustering, slicing, hashing, the
+    /// memo-table lookups and the final wrapper part.
     pub front_end_time: Duration,
     /// Back-end time: flat extraction + composition.
     pub back_end_time: Duration,
@@ -31,6 +36,29 @@ pub struct HextReport {
 }
 
 impl HextReport {
+    /// The view over one run's aggregate: the run is the main lane's
+    /// [`Span::Extract`], the back end its [`Span::Window`] and
+    /// [`Span::Compose`] time, and the front end the rest of the run.
+    /// `unique_windows` is table state, not an event, so the caller
+    /// supplies it.
+    pub(crate) fn from_counters(counters: &CounterProbe, unique_windows: u64) -> Self {
+        let compose_time = counters.span_time(Span::Compose);
+        let back_end_time = counters.span_time(Span::Window) + compose_time;
+        let run = counters.lane_span_time(Lane::MAIN, Span::Extract);
+        HextReport {
+            front_end_time: run.saturating_sub(back_end_time),
+            back_end_time,
+            compose_time,
+            flat_calls: counters.total(Counter::FlatCalls),
+            window_cache_hits: counters.total(Counter::WindowCacheHits),
+            compose_calls: counters.total(Counter::ComposeCalls),
+            compose_cache_hits: counters.total(Counter::ComposeCacheHits),
+            unique_windows,
+            boxes_extracted: counters.total(Counter::Boxes),
+            partials_completed: counters.total(Counter::PartialsCompleted),
+        }
+    }
+
     /// Total extraction time (front-end + back-end).
     pub fn total_time(&self) -> Duration {
         self.front_end_time + self.back_end_time

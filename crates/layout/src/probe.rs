@@ -83,8 +83,6 @@ pub enum Span {
     Window,
     /// One HEXT compose of two adjacent windows.
     Compose,
-    /// One raster-baseline grid scan.
-    Raster,
     /// One ERC lint pass over an extraction (`ace_lint`).
     Lint,
     /// One geometric design-rule check (`ace_drc`).
@@ -93,7 +91,7 @@ pub enum Span {
 
 impl Span {
     /// All spans, in declaration order.
-    pub const ALL: [Span; 12] = [
+    pub const ALL: [Span; 11] = [
         Span::Extract,
         Span::FrontEnd,
         Span::Insert,
@@ -103,7 +101,6 @@ impl Span {
         Span::Stitch,
         Span::Window,
         Span::Compose,
-        Span::Raster,
         Span::Lint,
         Span::Drc,
     ];
@@ -120,7 +117,6 @@ impl Span {
             Span::Stitch => "stitch",
             Span::Window => "window",
             Span::Compose => "compose",
-            Span::Raster => "raster-scan",
             Span::Lint => "lint",
             Span::Drc => "drc",
         }
@@ -196,9 +192,7 @@ pub enum Counter {
     ComposeCalls,
     /// Compositions answered from the memo table.
     ComposeCacheHits,
-    // -- raster baselines --
-    /// Grid rows scanned.
-    RowsScanned,
+    // -- raster baselines (a grid row is a scanline stop) --
     /// Runs visited (run-encoded scan).
     RunsVisited,
     /// Cells visited (full-grid scan).
@@ -244,7 +238,6 @@ impl Counter {
             Counter::WindowCacheHits => "window-cache-hits",
             Counter::ComposeCalls => "compose-calls",
             Counter::ComposeCacheHits => "compose-cache-hits",
-            Counter::RowsScanned => "rows-scanned",
             Counter::RunsVisited => "runs-visited",
             Counter::CellsVisited => "cells-visited",
             Counter::LintsEmitted => "lints-emitted",

@@ -3,31 +3,12 @@
 //! Cifplot through the same interface as the scanline sweeps.
 
 use ace_core::probe::Probe;
-use ace_core::{CircuitExtractor, ExtractError, Extraction, ExtractionReport};
+use ace_core::{CircuitExtractor, ExtractError, Extraction};
 use ace_geom::Coord;
 use ace_layout::FlatLayout;
 
 use crate::cifplot::extract_cifplot_probed;
 use crate::partlist::extract_partlist_probed;
-use crate::report::RasterExtraction;
-
-/// Lifts a raster result into the shared [`Extraction`] shape: the
-/// raster extractors have no phase breakdown or sweep counters, so
-/// only the fields that translate are filled.
-fn lift(raster: RasterExtraction, flat: &FlatLayout) -> Extraction {
-    let report = ExtractionReport {
-        boxes: flat.boxes().len() as u64,
-        scanline_stops: raster.report.rows,
-        unresolved_labels: raster.report.unresolved_labels,
-        total_time: raster.report.total_time,
-        ..ExtractionReport::default()
-    };
-    Extraction {
-        netlist: raster.netlist,
-        report,
-        window: None,
-    }
-}
 
 /// The run-encoded raster-scan extractor as a backend.
 pub struct PartlistExtractor {
@@ -52,8 +33,7 @@ impl CircuitExtractor for PartlistExtractor {
         name: &str,
         probe: &dyn Probe,
     ) -> Result<Extraction, ExtractError> {
-        let raster = extract_partlist_probed(&self.flat, name, self.pitch, probe);
-        Ok(lift(raster, &self.flat))
+        Ok(extract_partlist_probed(&self.flat, name, self.pitch, probe))
     }
 }
 
@@ -80,8 +60,7 @@ impl CircuitExtractor for CifplotExtractor {
         name: &str,
         probe: &dyn Probe,
     ) -> Result<Extraction, ExtractError> {
-        let raster = extract_cifplot_probed(&self.flat, name, self.pitch, probe);
-        Ok(lift(raster, &self.flat))
+        Ok(extract_cifplot_probed(&self.flat, name, self.pitch, probe))
     }
 }
 

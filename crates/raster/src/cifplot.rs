@@ -1,13 +1,11 @@
-use std::time::Instant;
-
-use ace_core::probe::{Counter, Lane, NullProbe, Probe, Span};
-use ace_core::{DeviceTable, NetTable};
+use ace_core::probe::{Counter, Lane, NullProbe, Probe};
+use ace_core::{DeviceTable, Extraction, NetTable};
 use ace_geom::{Coord, Layer};
 use ace_layout::FlatLayout;
+use ace_wirelist::Netlist;
 
-use crate::finalize::build_netlist;
+use crate::finalize::{build_netlist, observed};
 use crate::grid::{rasterize, CellMask};
-use crate::report::{RasterExtraction, RasterReport};
 
 const NONE: u32 = u32::MAX;
 
@@ -60,26 +58,30 @@ impl RowHandles {
 /// assert_eq!(r.netlist.device_count(), 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn extract_cifplot(flat: &FlatLayout, name: &str, pitch: Coord) -> RasterExtraction {
+pub fn extract_cifplot(flat: &FlatLayout, name: &str, pitch: Coord) -> Extraction {
     extract_cifplot_probed(flat, name, pitch, &NullProbe)
 }
 
 /// [`extract_cifplot`], reporting events to `probe` as it runs: one
-/// [`Span::Raster`] around the scan, with per-row
-/// [`Counter::RowsScanned`] / [`Counter::CellsVisited`] counters.
+/// [`Span::Extract`](ace_core::Span::Extract) around the scan, the
+/// layout's [`Counter::Boxes`], and per grid row one
+/// [`Counter::ScanlineStops`] plus the row's [`Counter::CellsVisited`].
+/// The report is the view over those events.
 pub fn extract_cifplot_probed(
     flat: &FlatLayout,
     name: &str,
     pitch: Coord,
     probe: &dyn Probe,
-) -> RasterExtraction {
-    let t0 = Instant::now();
-    probe.enter(Lane::MAIN, Span::Raster);
+) -> Extraction {
+    observed(flat, probe, |probe| scan(flat, name, pitch, probe))
+}
+
+fn scan(flat: &FlatLayout, name: &str, pitch: Coord, probe: &dyn Probe) -> Netlist {
     let grid = rasterize(flat, pitch);
     let cols = grid.cols.max(0) as usize;
     let mut nets = NetTable::new(false);
     let mut devices = DeviceTable::new(false);
-    let mut report = RasterReport::default();
+    let mut unresolved = 0u64;
 
     let mut labels: Vec<(usize, i64, Option<Layer>, &str)> = flat
         .labels()
@@ -97,8 +99,7 @@ pub fn extract_cifplot_probed(
     let mut here = RowHandles::new(cols);
 
     for (r, runs) in grid.rows.iter().enumerate() {
-        report.rows += 1;
-        probe.add(Lane::MAIN, Counter::RowsScanned, 1);
+        probe.add(Lane::MAIN, Counter::ScanlineStops, 1);
         probe.add(Lane::MAIN, Counter::CellsVisited, cols as u64);
         // Materialize the full row (this is the deliberate
         // inefficiency).
@@ -112,7 +113,6 @@ pub fn extract_cifplot_probed(
 
         #[allow(clippy::needless_range_loop)] // visiting every cell is the point
         for c in 0..cols {
-            report.cells_visited += 1;
             let mask = masks[c];
             if mask.is_empty() {
                 continue;
@@ -247,39 +247,35 @@ pub fn extract_cifplot_probed(
             if handle != NONE {
                 nets.add_name(handle, lname);
             } else {
-                report.unresolved_labels += 1;
+                unresolved += 1;
             }
         }
 
         std::mem::swap(&mut above, &mut here);
     }
-    report.unresolved_labels += (labels.len() - next_label) as u64;
-    probe.add(
-        Lane::MAIN,
-        Counter::UnresolvedLabels,
-        report.unresolved_labels,
-    );
-
-    let netlist = build_netlist(nets, devices, name);
-    report.total_time = t0.elapsed();
-    probe.exit(Lane::MAIN, Span::Raster);
-    RasterExtraction { netlist, report }
+    unresolved += (labels.len() - next_label) as u64;
+    probe.add(Lane::MAIN, Counter::UnresolvedLabels, unresolved);
+    build_netlist(nets, devices, name)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ace_core::CounterProbe;
     use ace_geom::LAMBDA;
     use ace_layout::Library;
 
-    fn run(src: &str) -> RasterExtraction {
+    /// Extracts `src`, returning the extraction and its visited cells.
+    fn run(src: &str) -> (Extraction, u64) {
         let lib = Library::from_cif_text(src).expect("parse");
-        extract_cifplot(&FlatLayout::from_library(&lib), "test", LAMBDA)
+        let probe = CounterProbe::new();
+        let r = extract_cifplot_probed(&FlatLayout::from_library(&lib), "test", LAMBDA, &probe);
+        (r, probe.total(Counter::CellsVisited))
     }
 
     #[test]
     fn single_transistor() {
-        let r = run("L ND; B 500 2000 0 0; L NP; B 2000 500 0 0; E");
+        let (r, _) = run("L ND; B 500 2000 0 0; L NP; B 2000 500 0 0; E");
         assert_eq!(r.netlist.device_count(), 1);
         let d = &r.netlist.devices()[0];
         assert_eq!((d.length, d.width), (500, 500));
@@ -289,8 +285,9 @@ mod tests {
     fn visits_every_cell_including_empty_space() {
         // Two tiny boxes far apart: the full-grid scan pays for the
         // emptiness between them.
-        let r = run("L NM; B 250 250 125 125; B 250 250 10125 125; E");
-        assert_eq!(r.report.cells_visited, 41); // 41 columns × 1 row
+        let (r, cells) = run("L NM; B 250 250 125 125; B 250 250 10125 125; E");
+        assert_eq!(cells, 41); // 41 columns × 1 row
+        assert_eq!(r.report.scanline_stops, 1);
         assert_eq!(r.netlist.device_count(), 0);
     }
 
@@ -307,24 +304,25 @@ mod tests {
             E";
         let lib = Library::from_cif_text(src).unwrap();
         let flat = FlatLayout::from_library(&lib);
-        let a = extract_cifplot(&flat, "x", LAMBDA);
-        let b = crate::extract_partlist(&flat, "x", LAMBDA);
+        let (cells, runs) = (CounterProbe::new(), CounterProbe::new());
+        let a = extract_cifplot_probed(&flat, "x", LAMBDA, &cells);
+        let b = crate::extract_partlist_probed(&flat, "x", LAMBDA, &runs);
         ace_wirelist::compare::same_circuit(&a.netlist, &b.netlist)
             .expect("cifplot and partlist agree");
-        assert!(a.report.cells_visited > b.report.runs_visited);
+        assert!(cells.total(Counter::CellsVisited) > runs.total(Counter::RunsVisited));
     }
 
     #[test]
     fn labels_resolve() {
-        let r = run("L NM; B 1000 1000 0 0; 94 SIG 0 0; E");
+        let (r, _) = run("L NM; B 1000 1000 0 0; 94 SIG 0 0; E");
         assert!(r.netlist.net_by_name("SIG").is_some());
         assert_eq!(r.report.unresolved_labels, 0);
     }
 
     #[test]
     fn empty_layout() {
-        let r = run("E");
-        assert_eq!(r.report.cells_visited, 0);
+        let (r, cells) = run("E");
+        assert_eq!(cells, 0);
         assert_eq!(r.netlist.device_count(), 0);
     }
 }

@@ -1,8 +1,33 @@
-//! Shared output construction for the raster baselines.
+//! Shared run framing and output construction for the raster
+//! baselines.
 
-use ace_core::{DeviceTable, NetTable};
+use ace_core::probe::{Counter, CounterProbe, Lane, Probe, Span};
+use ace_core::{DeviceTable, Extraction, NetTable};
 use ace_geom::Point;
+use ace_layout::FlatLayout;
 use ace_wirelist::{NetId, Netlist};
+
+/// Runs one raster scan of `flat` as a [`Span::Extract`] on the main
+/// lane, teed into a [`CounterProbe`] whose report view becomes the
+/// extraction's report. The layout's boxes are counted here; `scan`
+/// reports its rows as scanline stops.
+pub(crate) fn observed(
+    flat: &FlatLayout,
+    probe: &dyn Probe,
+    scan: impl FnOnce(&dyn Probe) -> Netlist,
+) -> Extraction {
+    let counters = CounterProbe::new();
+    let tee = (&counters, probe);
+    tee.enter(Lane::MAIN, Span::Extract);
+    tee.add(Lane::MAIN, Counter::Boxes, flat.boxes().len() as u64);
+    let netlist = scan(&tee);
+    tee.exit(Lane::MAIN, Span::Extract);
+    Extraction {
+        netlist,
+        report: counters.report(),
+        window: None,
+    }
+}
 
 /// Builds the output netlist from filled net/device tables, using the
 /// same width/length rules as the scanline extractor so the baselines

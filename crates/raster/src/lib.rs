@@ -44,10 +44,8 @@ mod cifplot;
 mod finalize;
 mod grid;
 mod partlist;
-mod report;
 
 pub use backend::{CifplotExtractor, PartlistExtractor};
 pub use cifplot::{extract_cifplot, extract_cifplot_probed};
 pub use grid::{CellMask, RowRuns, Run};
 pub use partlist::{extract_partlist, extract_partlist_probed};
-pub use report::{RasterExtraction, RasterReport};

@@ -1,13 +1,11 @@
-use std::time::Instant;
-
-use ace_core::probe::{Counter, Lane, NullProbe, Probe, Span};
-use ace_core::{DeviceTable, NetTable};
+use ace_core::probe::{Counter, Lane, NullProbe, Probe};
+use ace_core::{DeviceTable, Extraction, NetTable};
 use ace_geom::{Coord, Layer};
 use ace_layout::FlatLayout;
+use ace_wirelist::Netlist;
 
-use crate::finalize::build_netlist;
+use crate::finalize::{build_netlist, observed};
 use crate::grid::{rasterize, Run};
-use crate::report::{RasterExtraction, RasterReport};
 
 /// Net/device handles carried by one run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -44,25 +42,29 @@ struct RunHandles {
 /// assert_eq!(r.netlist.device_count(), 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn extract_partlist(flat: &FlatLayout, name: &str, pitch: Coord) -> RasterExtraction {
+pub fn extract_partlist(flat: &FlatLayout, name: &str, pitch: Coord) -> Extraction {
     extract_partlist_probed(flat, name, pitch, &NullProbe)
 }
 
 /// [`extract_partlist`], reporting events to `probe` as it runs: one
-/// [`Span::Raster`] around the scan, with per-row
-/// [`Counter::RowsScanned`] / [`Counter::RunsVisited`] counters.
+/// [`Span::Extract`](ace_core::Span::Extract) around the scan, the
+/// layout's [`Counter::Boxes`], and per grid row one
+/// [`Counter::ScanlineStops`] plus the row's [`Counter::RunsVisited`].
+/// The report is the view over those events.
 pub fn extract_partlist_probed(
     flat: &FlatLayout,
     name: &str,
     pitch: Coord,
     probe: &dyn Probe,
-) -> RasterExtraction {
-    let t0 = Instant::now();
-    probe.enter(Lane::MAIN, Span::Raster);
+) -> Extraction {
+    observed(flat, probe, |probe| scan(flat, name, pitch, probe))
+}
+
+fn scan(flat: &FlatLayout, name: &str, pitch: Coord, probe: &dyn Probe) -> Netlist {
     let grid = rasterize(flat, pitch);
     let mut nets = NetTable::new(false);
     let mut devices = DeviceTable::new(false);
-    let mut report = RasterReport::default();
+    let mut unresolved = 0u64;
 
     // Labels mapped onto the grid, sorted by row.
     let mut labels: Vec<(usize, i64, Option<Layer>, &str)> = flat
@@ -78,13 +80,11 @@ pub fn extract_partlist_probed(
 
     let mut prev: Vec<RunHandles> = Vec::new();
     for (r, runs) in grid.rows.iter().enumerate() {
-        report.rows += 1;
-        probe.add(Lane::MAIN, Counter::RowsScanned, 1);
+        probe.add(Lane::MAIN, Counter::ScanlineStops, 1);
         probe.add(Lane::MAIN, Counter::RunsVisited, runs.len() as u64);
         let mut cur: Vec<RunHandles> = Vec::with_capacity(runs.len());
 
         for run in runs {
-            report.runs_visited += 1;
             let h = process_run(&grid, r, run, &mut nets, &mut devices, pitch, cur.last());
             cur.push(h);
         }
@@ -106,23 +106,15 @@ pub fn extract_partlist_probed(
                 });
             match handle {
                 Some(n) => nets.add_name(n, lname),
-                None => report.unresolved_labels += 1,
+                None => unresolved += 1,
             }
         }
 
         prev = cur;
     }
-    report.unresolved_labels += (labels.len() - next_label) as u64;
-    probe.add(
-        Lane::MAIN,
-        Counter::UnresolvedLabels,
-        report.unresolved_labels,
-    );
-
-    let netlist = build_netlist(nets, devices, name);
-    report.total_time = t0.elapsed();
-    probe.exit(Lane::MAIN, Span::Raster);
-    RasterExtraction { netlist, report }
+    unresolved += (labels.len() - next_label) as u64;
+    probe.add(Lane::MAIN, Counter::UnresolvedLabels, unresolved);
+    build_netlist(nets, devices, name)
 }
 
 /// Handles one run: allocate handles, apply same-cell layer joins,
@@ -258,13 +250,18 @@ fn link_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ace_core::CounterProbe;
     use ace_geom::LAMBDA;
     use ace_layout::Library;
     use ace_wirelist::DeviceKind;
 
-    fn run(src: &str) -> RasterExtraction {
+    fn run_probed(src: &str, probe: &dyn Probe) -> Extraction {
         let lib = Library::from_cif_text(src).expect("parse");
-        extract_partlist(&FlatLayout::from_library(&lib), "test", LAMBDA)
+        extract_partlist_probed(&FlatLayout::from_library(&lib), "test", LAMBDA, probe)
+    }
+
+    fn run(src: &str) -> Extraction {
+        run_probed(src, &NullProbe)
     }
 
     #[test]
@@ -306,10 +303,13 @@ mod tests {
 
     #[test]
     fn report_counts_rows_and_runs() {
-        let r = run("L NM; B 1000 1000 0 0; E");
-        assert_eq!(r.report.rows, 4);
-        assert_eq!(r.report.runs_visited, 4);
+        let probe = CounterProbe::new();
+        let r = run_probed("L NM; B 1000 1000 0 0; E", &probe);
+        assert_eq!(r.report.scanline_stops, 4); // one stop per row
+        assert_eq!(probe.total(Counter::RunsVisited), 4);
+        assert_eq!(r.report.boxes, 1);
         assert_eq!(r.report.unresolved_labels, 0);
+        assert!(r.report.total_time > std::time::Duration::ZERO);
     }
 
     #[test]
@@ -334,6 +334,6 @@ mod tests {
     fn empty_layout() {
         let r = run("E");
         assert_eq!(r.netlist.device_count(), 0);
-        assert_eq!(r.report.rows, 0);
+        assert_eq!(r.report.scanline_stops, 0);
     }
 }

@@ -47,13 +47,12 @@ pub use ace_workloads as workloads;
 ///   [`CifplotExtractor`](raster::CifplotExtractor).
 /// * **Observability** — the [`Probe`](core::Probe) trait, the
 ///   [`NullProbe`](core::NullProbe) / [`CounterProbe`](core::CounterProbe)
-///   / [`ChromeTraceProbe`](core::ChromeTraceProbe) /
-///   [`SummaryProbe`](core::SummaryProbe) sinks, and the
+///   / [`ChromeTraceProbe`](core::ChromeTraceProbe) sinks, and the
 ///   [`Lane`](core::Lane) / [`Span`](core::Span) /
 ///   [`Counter`](core::Counter) vocabulary.
 /// * **Results** — [`Extraction`](core::Extraction),
 ///   [`ExtractionReport`](core::ExtractionReport),
-///   [`BandReport`](core::BandReport), [`StitchStats`](core::StitchStats),
+///   [`StitchStats`](core::StitchStats),
 ///   the [`Netlist`](wirelist::Netlist) it carries, and netlist
 ///   comparison via [`wirelist::compare`].
 /// * **Linting** — [`extract_library_linted`](lint::extract_library_linted),
@@ -66,9 +65,9 @@ pub mod prelude {
     pub use ace_core::{
         extract_banded, extract_banded_probed, extract_feed, extract_feed_probed, extract_flat,
         extract_flat_probed, extract_library, extract_library_probed, extract_text,
-        extract_text_probed, BandReport, ChromeTraceProbe, CircuitExtractor, Counter, CounterProbe,
+        extract_text_probed, ChromeTraceProbe, CircuitExtractor, Counter, CounterProbe,
         ExtractError, ExtractOptions, Extraction, ExtractionReport, Extractor, FlatExtractor, Lane,
-        NullProbe, Phase, Probe, Span, StitchStats, SummaryProbe, TraceEvent, WindowExtraction,
+        NullProbe, Phase, Probe, Span, StitchStats, TraceEvent, WindowExtraction,
     };
     pub use ace_drc::{
         check as drc_check, check_extraction as drc_check_extraction, DrcRule, RuleDeck,
@@ -85,7 +84,7 @@ pub mod prelude {
     };
     pub use ace_raster::{
         extract_cifplot, extract_cifplot_probed, extract_partlist, extract_partlist_probed,
-        CifplotExtractor, PartlistExtractor, RasterExtraction, RasterReport,
+        CifplotExtractor, PartlistExtractor,
     };
     pub use ace_wirelist::{
         critical_path, write_spice, write_wirelist, CriticalPath, Device, DeviceKind, Net, Netlist,

@@ -266,20 +266,22 @@ fn raster_work_ordering_matches_the_paper() {
     let lib = Library::from_cif_text(&chip.cif).expect("valid");
     let flat = FlatLayout::from_library(&lib);
     let ace = extract_library(&lib, "c", ExtractOptions::new()).expect("extracts");
-    let partlist = extract_partlist(&flat, "c", LAMBDA);
-    let cifplot = extract_cifplot(&flat, "c", LAMBDA);
+    let (runs, cells) = (CounterProbe::new(), CounterProbe::new());
+    let partlist = extract_partlist_probed(&flat, "c", LAMBDA, &runs);
+    extract_cifplot_probed(&flat, "c", LAMBDA, &cells);
     assert!(
-        ace.report.scanline_stops < partlist.report.rows,
+        ace.report.scanline_stops < partlist.report.scanline_stops,
         "the edge-based scan must pause less often than the raster scan \
          ({} stops vs {} rows)",
         ace.report.scanline_stops,
-        partlist.report.rows
+        partlist.report.scanline_stops
+    );
+    let (runs, cells) = (
+        runs.total(Counter::RunsVisited),
+        cells.total(Counter::CellsVisited),
     );
     assert!(
-        partlist.report.runs_visited < cifplot.report.cells_visited,
-        "run encoding must visit less than the full grid \
-         ({} runs vs {} cells)",
-        partlist.report.runs_visited,
-        cifplot.report.cells_visited
+        runs < cells,
+        "run encoding must visit less than the full grid ({runs} runs vs {cells} cells)",
     );
 }

@@ -4,8 +4,8 @@
 //! contacts, and labels deliberately straddling band seams.
 
 use ace::core::{
-    extract_banded, extract_flat, CircuitExtractor, ExtractOptions, Extraction,
-    IncrementalExtractor,
+    extract_banded, extract_flat, extract_flat_probed, CircuitExtractor, Counter, CounterProbe,
+    ExtractOptions, Extraction, IncrementalExtractor, Lane,
 };
 use ace::geom::{Layer, Rect, LAMBDA};
 use ace::layout::{FlatLayout, Library};
@@ -278,13 +278,19 @@ fn geometry_output_survives_banding() {
 
 #[test]
 fn report_carries_band_and_stitch_instrumentation() {
-    let flat = flat_of(&mesh_cif(5));
-    let par = extract_flat(flat, "mesh-5", ExtractOptions::new().with_threads(4)).expect("banded");
+    let (flat, probe) = (flat_of(&mesh_cif(5)), CounterProbe::new());
+    let opts = ExtractOptions::new().with_threads(4);
+    let par = extract_flat_probed(flat, "mesh-5", opts, &probe).expect("banded");
     assert!(par.report.threads >= 2, "mesh should band");
-    assert_eq!(par.report.band_reports.len(), par.report.threads);
     assert!(par.report.stitch.seam_contacts > 0);
     assert!(par.report.stitch.pairs_matched > 0);
-    assert!(par.report.band_reports.iter().all(|b| b.boxes > 0));
+    // One lane per band, each of which swept boxes.
+    let band_boxes: Vec<u64> = (probe.lanes().into_iter())
+        .filter(|&lane| lane != Lane::MAIN)
+        .map(|lane| probe.lane_total(lane, Counter::Boxes))
+        .collect();
+    assert_eq!(band_boxes.len(), par.report.bands);
+    assert!(band_boxes.iter().all(|&boxes| boxes > 0));
 }
 
 #[test]
@@ -313,14 +319,16 @@ fn with_threads_is_deterministic_and_reports_its_workers() {
     let flat = flat_of(&mesh_cif(4));
     for threads in [2usize, 3, 5] {
         let opts = ExtractOptions::new().with_threads(threads);
-        let a = extract_flat(flat.clone(), "mesh-4", opts).expect("banded");
+        let probe = CounterProbe::new();
+        let a = extract_flat_probed(flat.clone(), "mesh-4", opts, &probe).expect("banded");
         let b = extract_flat(flat.clone(), "mesh-4", opts).expect("banded");
         assert_eq!(
             a.netlist, b.netlist,
             "banded extraction must be deterministic (K={threads})"
         );
         assert!(a.report.threads >= 1);
-        assert_eq!(a.report.band_reports.len(), a.report.bands);
+        let band_lanes = probe.lanes().iter().filter(|l| **l != Lane::MAIN).count();
+        assert_eq!(band_lanes, a.report.bands);
         assert_eq!(a.netlist.name, "mesh-4");
     }
 }

@@ -1,10 +1,13 @@
 //! The probe layer's external contract: an outside `CounterProbe`
-//! sees exactly the event stream the extractor's own report is built
+//! sees exactly the event stream every backend's own report is built
 //! from, the Chrome-trace sink emits a well-formed timeline with one
 //! lane per band, the lint and DRC passes are spans on it too, and
-//! the summary sink's percentages add up.
+//! the report's phase shares are the phase spans.
+
+use std::time::Duration;
 
 use ace::core::json::Json;
+use ace::core::LazyExtractor;
 use ace::prelude::*;
 use ace::workloads::cells::inverter_cif;
 use ace::workloads::mesh::mesh_cif;
@@ -209,14 +212,55 @@ fn lint_and_drc_passes_are_traced_as_spans() {
 }
 
 #[test]
-fn summary_probe_percentages_sum_to_100() {
-    let summary = SummaryProbe::new();
-    let _ = extract_text_probed(&inverter_cif(), ExtractOptions::new(), &summary)
+fn report_phase_shares_are_the_probes_phase_spans() {
+    let probe = CounterProbe::new();
+    let r = extract_text_probed(&inverter_cif(), ExtractOptions::new(), &probe)
         .expect("inverter extracts");
-    let total: f64 = Phase::ALL.iter().map(|&p| summary.phase_percent(p)).sum();
-    assert!((total - 100.0).abs() < 1e-6, "phases sum to {total}");
-    let table = summary.table();
+    // The §5 table: each phase's span time as a share of the run.
+    let view = probe.report();
+    let mut total = 0.0;
     for phase in Phase::ALL {
-        assert!(table.contains(phase.label()), "{} missing", phase.label());
+        assert_eq!(view.phase_time(phase), probe.span_time(phase.span()));
+        total += view.phase_percent(phase);
+        assert!(r.report.to_string().contains(phase.label()));
+    }
+    assert!(
+        total > 0.0 && total <= 100.0,
+        "phases take {total}% of the run"
+    );
+}
+
+/// Every [`CircuitExtractor`] backend over one layout.
+fn every_backend(lib: &Library) -> Vec<Box<dyn CircuitExtractor>> {
+    let flat = FlatLayout::from_library(lib);
+    vec![
+        Box::new(FlatExtractor::new(flat.clone())),
+        Box::new(LazyExtractor::new(lib.clone())),
+        Box::new(FlatExtractor::banded(flat.clone(), 2)),
+        Box::new(ace::core::IncrementalExtractor::new(flat.clone(), 2)),
+        Box::new(HierarchicalExtractor::new(lib.clone())),
+        Box::new(PartlistExtractor::new(flat.clone(), LAMBDA)),
+        Box::new(CifplotExtractor::new(flat, LAMBDA)),
+    ]
+}
+
+#[test]
+fn every_backend_reports_what_an_external_probe_saw() {
+    for (layout, src) in [("inverter", inverter_cif()), ("mesh", mesh_cif(6))] {
+        let lib = Library::from_cif_text(&src).expect("valid CIF");
+        let mut names = Vec::new();
+        for mut backend in every_backend(&lib) {
+            let probe = CounterProbe::new();
+            let r = backend.extract_probed(layout, &probe).expect("extracts");
+            let what = format!("{layout} on {}", backend.backend());
+            assert!(r.report.boxes > 0, "{what}: no boxes");
+            assert!(r.report.scanline_stops > 0, "{what}: no stops");
+            assert!(r.report.total_time > Duration::ZERO, "{what}: untimed");
+            assert_counters_match(&probe, &r.report, &what);
+            names.push(backend.backend());
+        }
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), 7, "{names:?}");
     }
 }
